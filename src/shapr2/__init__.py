@@ -24,7 +24,6 @@ from .models import (
     StumpEnsemble,
     fit_ols,
     fit_stump_ensemble,
-    predict,
     tune_iterations,
 )
 from .shapley import (
@@ -65,7 +64,6 @@ __all__ = [
     "StumpEnsemble",
     "fit_ols",
     "fit_stump_ensemble",
-    "predict",
     "tune_iterations",
     "BackgroundSet",
     "Predictor",

@@ -5,14 +5,16 @@ Contracts:
 * reports are JSON on stdout by default (``--out`` redirects to a file); CSV
   artifacts always require explicit paths,
 * exit codes: 0 success, 2 input/validation error, 3 numerical failure,
-* with fixed seeds, output bytes are identical across runs and across
-  ``--threads`` settings; provenance therefore records semantic options only,
-  never performance knobs or output paths.
+* with fixed seeds, output bytes are identical across runs; ``--threads``
+  is accepted and validated but changes neither results nor the execution
+  path, and provenance records semantic options only, never performance
+  knobs or output paths.
 
 Input schemas:
 
 * decompose CSV: header row with columns ``y``, ``yhat``, one ``phi_<name>``
-  per feature, optional constant ``phi0`` column; UTF-8, ``.`` decimal
+  per feature, optional constant ``phi0`` column; UTF-8 (a leading byte
+  order mark is ignored), ``.`` decimal
   separator, no thousands separators,
 * explain CSV: header row; one numeric target column named by ``--target``;
   every other column is a numeric feature.
@@ -78,6 +80,11 @@ _NUMERICAL_ERRORS = (
 #: Relative additivity gap beyond which an ingested phi0 triggers a warning.
 INGEST_ADDITIVITY_RTOL = 1e-6
 
+THREADS_HELP = (
+    "accepted for compatibility (must be >= 1); runs are always serial, so it "
+    "changes neither results nor the execution path"
+)
+
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
@@ -85,10 +92,10 @@ INGEST_ADDITIVITY_RTOL = 1e-6
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: file is empty")
@@ -183,12 +190,19 @@ def _load_explain_input(path: str, target: str) -> Dataset:
 # Output helpers
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_file(out_path, text)
 
 
 def _csv_cell(value) -> str:
@@ -202,8 +216,7 @@ def _csv_cell(value) -> str:
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def _model_document(model) -> dict:
@@ -317,11 +330,11 @@ def _explain_attributions(args, dataset: Dataset, model) -> ShapleyMatrix:
             seed=args.seed,
             background_subsample=args.background_subsample,
         )
-        return sampled_shapley(
-            model, dataset, BackgroundSet(dataset.x), config, threads=args.threads
-        )
+        return sampled_shapley(model, dataset, BackgroundSet(dataset.x), config)
     background = BackgroundSet(dataset.x)
     if args.background_subsample is not None:
+        if args.background_subsample < 1:
+            raise ValidationError("--background-subsample must be >= 1")
         if args.background_subsample > dataset.n_rows:
             raise ValidationError(
                 "--background-subsample exceeds the number of data rows"
@@ -332,7 +345,7 @@ def _explain_attributions(args, dataset: Dataset, model) -> ShapleyMatrix:
         idx = rng.choice(dataset.n_rows, size=args.background_subsample, replace=False)
         background = BackgroundSet(dataset.x[np.sort(idx)])
     try:
-        return exact_shapley(model, dataset, background, threads=args.threads)
+        return exact_shapley(model, dataset, background)
     except FeatureCountExceeded as exc:
         raise FeatureCountExceeded(
             f"{exc} (hint: pass --sampled to use permutation sampling)"
@@ -392,30 +405,47 @@ def cmd_explain(args) -> int:
     return 0
 
 
+#: Scalar keys of a simulate config file: accepted JSON types, and their
+#: description for the error message.
+_CONFIG_SCALARS = {
+    "n_samples": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "noise_sd": ((int, float, type(None)), "a number or null"),
+    "estimator": (str, "a string"),
+    "permutations": (int, "an integer"),
+    "background_subsample": ((int, type(None)), "an integer or null"),
+}
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            settings = json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(settings, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object")
+    unknown = set(settings) - {"rho_values", "coefficient_configs", *_CONFIG_SCALARS}
+    if unknown:
+        raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
+    for key, (types, expected) in _CONFIG_SCALARS.items():
+        if key in settings and not _has_type(settings[key], types):
+            raise ValidationError(f"{path}: {key} must be {expected}, got {settings[key]!r}")
+    rhos = settings.get("rho_values", [])
+    if not (isinstance(rhos, list) and all(_has_type(v, (int, float)) for v in rhos)):
+        raise ValidationError(f"{path}: rho_values must be a list of numbers, got {rhos!r}")
+    return settings
+
+
+def _has_type(value, types) -> bool:
+    """JSON type check in which a boolean is not a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _grid_from_args(args) -> GridSpec:
-    settings: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                settings = json.load(handle)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
-        unknown = set(settings) - {
-            "rho_values",
-            "coefficient_configs",
-            "n_samples",
-            "seed",
-            "noise_sd",
-            "estimator",
-            "permutations",
-            "background_subsample",
-        }
-        if unknown:
-            raise ValidationError(
-                f"{args.config}: unknown keys {sorted(unknown)}"
-            )
+    settings = {} if args.config is None else _read_config(args.config)
 
     if args.rhos is not None:
         try:
@@ -502,7 +532,7 @@ def _grid_summary(grid) -> dict:
 
 def cmd_simulate(args) -> int:
     grid_spec = _grid_from_args(args)
-    grid = run_grid(grid_spec, threads=args.threads)
+    grid = run_grid(grid_spec)
     rows = grid.rows()
     _write_csv(
         args.out,
@@ -550,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--permutations", type=int, default=200)
     p_exp.add_argument("--background-subsample", type=int, default=None)
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--threads", type=int, default=1)
+    p_exp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_exp.add_argument("--emit-shap", default=None, help="also write the attribution matrix CSV here")
     p_exp.add_argument("--emit-model", default=None, help="also write the fitted model JSON here")
     p_exp.add_argument("--eq7-as-printed", action="store_true")
@@ -568,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--permutations", type=int, default=None)
     p_sim.add_argument("--background-subsample", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_sim.add_argument("--out", required=True, help="grid CSV destination")
     p_sim.add_argument("--summary-out", default=None, help="summary JSON destination (default stdout)")
     return parser

@@ -89,19 +89,6 @@ class StumpEnsemble:
             )
         return out
 
-    def truncated(self, n_stumps: int) -> "StumpEnsemble":
-        return StumpEnsemble(
-            init_value=self.init_value,
-            stumps=self.stumps[:n_stumps],
-            learning_rate=self.learning_rate,
-            n_features=self.n_features,
-        )
-
-
-def predict(model, row) -> float:
-    """Evaluate a fitted model on one feature row."""
-    return model.predict(row)
-
 
 def fit_ols(dataset: Dataset) -> LinearModel:
     """Least squares with intercept, solved via QR orthogonalization.
@@ -170,8 +157,11 @@ def _best_stump(x: np.ndarray, residual: np.ndarray, candidates) -> Stump:
     return best
 
 
-def _boost(dataset: Dataset, iterations: int, learning_rate: float):
-    """Shared boosting loop; returns stumps plus the per-iteration training fit."""
+def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
+    """The boosting loop: yields ``(stump, training_r2)`` for each of up to
+    ``iterations`` rounds, where ``training_r2`` is the bounded fit of the
+    ensemble after adding that stump. The ensemble starts at the outcome mean.
+    """
     if dataset.y is None:
         raise InvalidValue("dataset has no outcome column to fit")
     if iterations < 1:
@@ -185,10 +175,7 @@ def _boost(dataset: Dataset, iterations: int, learning_rate: float):
     if all(b.size == 0 for _, b, _ in candidates):
         raise NoValidSplit("every feature column is constant")
 
-    init = float(y.mean())
-    pred = np.full(x.shape[0], init)
-    stumps: list[Stump] = []
-    r2_history: list[float] = []
+    pred = np.full(x.shape[0], float(y.mean()))
     for _ in range(iterations):
         stump = _best_stump(x, y - pred, candidates)
         pred = pred + learning_rate * np.where(
@@ -196,9 +183,16 @@ def _boost(dataset: Dataset, iterations: int, learning_rate: float):
             stump.left_value,
             stump.right_value,
         )
-        stumps.append(stump)
-        r2_history.append(baseline_r2(y, pred))
-    return init, stumps, r2_history
+        yield stump, baseline_r2(y, pred)
+
+
+def _ensemble(dataset: Dataset, stumps, learning_rate: float) -> StumpEnsemble:
+    return StumpEnsemble(
+        init_value=float(dataset.y.mean()),
+        stumps=tuple(stumps),
+        learning_rate=learning_rate,
+        n_features=dataset.n_features,
+    )
 
 
 def fit_stump_ensemble(
@@ -211,13 +205,8 @@ def fit_stump_ensemble(
     feature index, then the lower threshold. Training fit is non-decreasing
     in the iteration count.
     """
-    init, stumps, _ = _boost(dataset, iterations, learning_rate)
-    return StumpEnsemble(
-        init_value=init,
-        stumps=tuple(stumps),
-        learning_rate=learning_rate,
-        n_features=dataset.n_features,
-    )
+    stumps = [stump for stump, _ in _boost_steps(dataset, iterations, learning_rate)]
+    return _ensemble(dataset, stumps, learning_rate)
 
 
 def tune_iterations(
@@ -236,32 +225,13 @@ def tune_iterations(
     """
     if not 0.0 < target_r2 < 1.0:
         raise InvalidValue("target_r2 must be in (0, 1)")
-    if dataset.y is None:
-        raise InvalidValue("dataset has no outcome column to fit")
-    x, y = dataset.x, dataset.y
-    candidates = _split_candidates(x)
-    if all(b.size == 0 for _, b, _ in candidates):
-        raise NoValidSplit("every feature column is constant")
-
-    init = float(y.mean())
-    pred = np.full(x.shape[0], init)
     stumps: list[Stump] = []
-    best_k = 0
-    best_gap = math.inf
-    for k in range(1, max_iterations + 1):
-        stump = _best_stump(x, y - pred, candidates)
-        pred = pred + learning_rate * np.where(
-            x[:, stump.feature_index] <= stump.threshold,
-            stump.left_value,
-            stump.right_value,
-        )
+    best_k, best_r2, best_gap = 0, math.nan, math.inf
+    for stump, r2 in _boost_steps(dataset, max_iterations, learning_rate):
         stumps.append(stump)
-        r2 = baseline_r2(y, pred)
         gap = abs(r2 - target_r2)
         if gap < best_gap:
-            best_gap = gap
-            best_k = k
-            best_r2 = r2
+            best_k, best_r2, best_gap = len(stumps), r2, gap
         if r2 >= target_r2:
             break
     if best_gap > tolerance:
@@ -269,10 +239,4 @@ def tune_iterations(
             f"closest training fit to {target_r2} is {best_r2:.4f} "
             f"at {best_k} iterations (gap {best_gap:.4f} > {tolerance})"
         )
-    model = StumpEnsemble(
-        init_value=init,
-        stumps=tuple(stumps[:best_k]),
-        learning_rate=learning_rate,
-        n_features=dataset.n_features,
-    )
-    return model, best_r2, best_k
+    return _ensemble(dataset, stumps[:best_k], learning_rate), best_r2, best_k

@@ -13,15 +13,14 @@ The value of a coalition is the interventional (marginal) expectation: the
 mean prediction over a background set with the coalition's features pinned to
 the explained instance's values. Everything is a pure function of inputs plus
 the sampling seed; per-instance randomness comes from counter-based streams
-keyed by ``seed XOR instance_index``, so parallel execution cannot change
-results.
+keyed by ``seed XOR instance_index``, so results do not depend on the order
+in which instances are evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -139,13 +138,6 @@ def _resolve_background(dataset: Dataset, background: BackgroundSet | None) -> B
     return background
 
 
-def _map_instances(worker, n_rows: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(i) for i in range(n_rows)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_rows)))
-
-
 #: Upper bound on rows handed to one predict_batch call when evaluating
 #: coalition blocks (keeps peak memory flat for wide feature counts).
 _BATCH_ROW_LIMIT = 8192
@@ -176,7 +168,6 @@ def exact_shapley(
     background: BackgroundSet | None = None,
     *,
     feature_cap: int = EXACT_FEATURE_CAP,
-    threads: int = 1,
 ) -> ShapleyMatrix:
     """Exact attributions by full coalition enumeration.
 
@@ -195,7 +186,6 @@ def exact_shapley(
         )
 
     n_masks = 1 << n_features
-    full_mask = n_masks - 1
     popcount = np.array([bin(m).count("1") for m in range(n_masks)])
     fact = [math.factorial(k) for k in range(n_features + 1)]
     # weight of a coalition S (not containing f): |S|! (F-|S|-1)! / F!
@@ -217,22 +207,18 @@ def exact_shapley(
     # column: each of its coalition-value differences cancels bit-for-bit
     inner_masks = list(range(1, n_masks))
 
-    def one_instance(i: int) -> np.ndarray:
-        row = x[i]
-        values = np.empty(n_masks)
-        values[0] = base_value
+    phi = np.empty(x.shape)
+    values = np.empty(n_masks)
+    values[0] = base_value
+    for i, row in enumerate(x):
         for chunk in _mask_chunks(inner_masks, bg.shape[0]):
             values[chunk] = _masked_values(predictor, row, chunk, bg)
-        phi_row = np.empty(n_features)
         for f in range(n_features):
             sel = masks_without[f]
             deltas = values[sel | (1 << f)] - values[sel]
-            phi_row[f] = float(size_weight[popcount[sel]] @ deltas)
-        return phi_row
-
-    rows_out = _map_instances(one_instance, x.shape[0], threads)
+            phi[i, f] = float(size_weight[popcount[sel]] @ deltas)
     return ShapleyMatrix(
-        phi=np.vstack(rows_out),
+        phi=phi,
         phi0=base_value,
         feature_names=dataset.feature_names,
         provenance="exact",
@@ -244,8 +230,6 @@ def sampled_shapley(
     dataset: Dataset,
     background: BackgroundSet | None = None,
     config: SamplingConfig | None = None,
-    *,
-    threads: int = 1,
 ) -> ShapleyMatrix:
     """Permutation-sampling attribution estimate.
 
@@ -254,7 +238,7 @@ def sampled_shapley(
     base value up to ``predict(x)``, so the additivity identity holds exactly
     per instance regardless of M. Instance ``i`` draws from a counter-based
     stream keyed by ``seed XOR i``; output is bit-identical for a fixed
-    config, independent of ``threads``.
+    config.
 
     With ``background_subsample`` set, each permutation evaluates its
     coalition values against a fresh seeded subsample of the background
@@ -281,9 +265,9 @@ def sampled_shapley(
     n_perms = config.permutations_per_instance
     seed = int(config.seed)
 
-    def one_instance(i: int) -> np.ndarray:
+    phi = np.empty(x.shape)
+    for i, row in enumerate(x):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ i)))
-        row = x[i]
         full_value = _predict_one(predictor, row)
         contrib = np.zeros(n_features)
         cache: dict[int, float] | None = {} if sub is None else None
@@ -315,11 +299,10 @@ def sampled_shapley(
                 current = chain[pos]
                 contrib[int(perm[pos])] += current - prev
                 prev = current
-        return contrib / n_perms
+        phi[i] = contrib / n_perms
 
-    rows_out = _map_instances(one_instance, x.shape[0], threads)
     return ShapleyMatrix(
-        phi=np.vstack(rows_out),
+        phi=phi,
         phi0=base_value,
         feature_names=dataset.feature_names,
         provenance="sampled",

@@ -13,7 +13,6 @@ rho > -1/2.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +97,8 @@ class GridSpec:
             raise InvalidValue("rho_values is empty")
         if not self.coefficient_configs:
             raise InvalidValue("coefficient_configs is empty")
+        if self.seed < 0:
+            raise InvalidValue("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,6 @@ def run_cell(
     estimator: str = "linear",
     permutations: int = 200,
     background_subsample: int | None = None,
-    threads: int = 1,
 ) -> SimulationCell:
     """Simulate one cell: draw data, fit OLS, attribute, decompose.
 
@@ -175,11 +175,10 @@ def run_cell(
     than an error; all other failures propagate.
     """
     try:
-        cholesky_factor(uniform_correlation_matrix(spec.feature_count, spec.rho))
+        x = sample_mvn(dataclasses.replace(spec, seed=derive_seed(spec.seed, 1)))
     except NonPositiveDefinite:
         return SimulationCell(spec=spec, status="skipped_non_pd")
 
-    x = sample_mvn(dataclasses.replace(spec, seed=derive_seed(spec.seed, 1)))
     noise_rng = np.random.Generator(np.random.Philox(key=np.uint64(derive_seed(spec.seed, 2))))
     beta = np.asarray(spec.coefficients)
     y = x @ beta + spec.noise_sd * noise_rng.standard_normal(spec.n_samples)
@@ -197,7 +196,7 @@ def run_cell(
             seed=derive_seed(spec.seed, 3),
             background_subsample=background_subsample,
         )
-        matrix = sampled_shapley(model, dataset, background, config, threads=threads)
+        matrix = sampled_shapley(model, dataset, background, config)
     else:
         raise InvalidValue(f"unknown estimator {estimator!r}")
 
@@ -210,19 +209,20 @@ def run_cell(
     )
 
 
-def run_grid(grid: GridSpec, *, threads: int = 1) -> SimulationGrid:
+def run_grid(grid: GridSpec) -> SimulationGrid:
     """Evaluate every (coefficient config, rho) cell of the grid.
 
     Cell seeds derive from the master seed and the cell coordinates, so the
-    grid is deterministic and independent of evaluation order or parallelism.
+    grid is deterministic and independent of evaluation order.
     """
-    tasks = []
-    for c, (config_id, coefficients) in enumerate(grid.coefficient_configs):
+    cells = []
+    for c, (_, coefficients) in enumerate(grid.coefficient_configs):
         noise_sd = (
             float(np.linalg.norm(coefficients))
             if grid.noise_sd is None
             else grid.noise_sd
         )
+        row = []
         for r, rho in enumerate(grid.rho_values):
             spec = UniformCorrelationSpec(
                 rho=rho,
@@ -232,28 +232,13 @@ def run_grid(grid: GridSpec, *, threads: int = 1) -> SimulationGrid:
                 seed=derive_seed(grid.seed, r, c),
                 feature_count=grid.feature_count,
             )
-            tasks.append((c, r, spec))
-
-    def run_one(task):
-        _, _, spec = task
-        return run_cell(
-            spec,
-            estimator=grid.estimator,
-            permutations=grid.permutations,
-            background_subsample=grid.background_subsample,
-        )
-
-    if threads <= 1:
-        results = [run_one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, tasks))
-
-    n_rho = len(grid.rho_values)
-    cells = [[None] * n_rho for _ in grid.coefficient_configs]
-    for (c, r, _), cell in zip(tasks, results):
-        cells[c][r] = cell
-    return SimulationGrid(
-        spec=grid,
-        cells=tuple(tuple(row) for row in cells),
-    )
+            row.append(
+                run_cell(
+                    spec,
+                    estimator=grid.estimator,
+                    permutations=grid.permutations,
+                    background_subsample=grid.background_subsample,
+                )
+            )
+        cells.append(tuple(row))
+    return SimulationGrid(spec=grid, cells=tuple(cells))

@@ -436,3 +436,92 @@ class TestParserContract:
     def test_missing_file(self, cli):
         result = cli("decompose", "/nonexistent/file.csv")
         assert result.code == 2
+
+
+def _assert_input_error(result):
+    """Exit 2 with a one-line ``error:`` message (an uncaught exception would
+    have propagated out of ``main`` instead)."""
+    assert result.code == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("explain", "{csv}", "--target", "outcome", "--out", "/nonexistent/r.json"),
+            ("explain", "{csv}", "--target", "outcome", "--emit-shap", "/nonexistent/phi.csv"),
+            ("explain", "{csv}", "--target", "outcome", "--emit-model", "/nonexistent/m.json"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "/nonexistent/g.csv"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "{tmp}/g.csv",
+             "--summary-out", "/nonexistent/s.json"),
+        ],
+        ids=["explain-out", "emit-shap", "emit-model", "simulate-out", "summary-out"],
+    )
+    def test_unwritable_output(self, cli, explain_csv, tmp_path, argv):
+        argv = [a.format(csv=explain_csv, tmp=tmp_path) for a in argv]
+        result = cli(*argv)
+        _assert_input_error(result)
+        assert "cannot write /nonexistent/" in result.stderr
+
+    def test_csv_with_byte_order_mark(self, cli, tmp_path, monkeypatch):
+        (tmp_path / "data").mkdir()
+        source = (DATA_DIR / "golden_6row.csv").read_bytes()
+        (tmp_path / "data" / "golden_6row.csv").write_bytes(b"\xef\xbb\xbf" + source)
+        monkeypatch.chdir(tmp_path)
+        result = cli("decompose", "data/golden_6row.csv")
+        assert result.code == 0
+        assert result.stdout == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+    def test_explain_csv_with_byte_order_mark(self, cli, explain_csv, tmp_path):
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + explain_csv.read_bytes())
+        plain = json.loads(cli("explain", str(explain_csv), "--target", "outcome").stdout)
+        result = cli("explain", str(bom_csv), "--target", "outcome")
+        assert result.code == 0
+        doc = json.loads(result.stdout)
+        assert doc["features"] == plain["features"]
+
+    def test_csv_not_utf8(self, cli, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,yhat,phi_a\n1,2,\xe9\n")
+        _assert_input_error(cli("decompose", str(path)))
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_exact_background_subsample_below_one(self, cli, explain_csv, value):
+        _assert_input_error(
+            cli("explain", str(explain_csv), "--target", "outcome",
+                "--background-subsample", value)
+        )
+
+    @pytest.mark.parametrize("learning_rate", ["1.5", "0"])
+    def test_target_r2_learning_rate_domain(self, cli, explain_csv, learning_rate):
+        result = cli("explain", str(explain_csv), "--target", "outcome",
+                     "--model", "stumps", "--target-r2", "0.3",
+                     "--learning-rate", learning_rate)
+        _assert_input_error(result)
+        assert "learning_rate" in result.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "5",
+            "[0.0, 0.2]",
+            '{"n_samples": "abc"}',
+            '{"n_samples": 2.5}',
+            '{"seed": true}',
+            '{"seed": -1}',
+            '{"noise_sd": "loud"}',
+            '{"estimator": 3}',
+            '{"rho_values": ["abc"]}',
+            '{"rho_values": 0.5}',
+        ],
+    )
+    def test_malformed_config_values(self, cli, tmp_path, content):
+        config = tmp_path / "grid.json"
+        config.write_text(content, encoding="utf-8")
+        _assert_input_error(
+            cli("simulate", "--config", str(config), "--n-samples", "40",
+                "--out", str(tmp_path / "g.csv"))
+        )

@@ -11,7 +11,6 @@ from shapr2 import (
     classical_r2,
     fit_ols,
     fit_stump_ensemble,
-    predict,
     tune_iterations,
 )
 from shapr2.errors import (
@@ -94,7 +93,6 @@ class TestFitOls:
     def test_prediction_interfaces(self):
         ds, _ = make_regression(seed=7)
         model = fit_ols(ds)
-        assert predict(model, ds.x[0]) == model.predict(ds.x[0])
         assert model.predict_batch(ds.x)[0] == pytest.approx(
             model.predict(ds.x[0]), abs=1e-12
         )
@@ -103,7 +101,7 @@ class TestFitOls:
         from shapr2 import LinearModel
 
         model = LinearModel(intercept=1.0, coefficients=np.array([2.0]))
-        assert predict(model, [3.0]) == 7.0
+        assert model.predict([3.0]) == 7.0
 
 
 def reference_boost(x, y, iterations, learning_rate):
@@ -169,9 +167,9 @@ class TestStumpEnsemble:
         x = rng.standard_normal((200, 4))
         y = x @ np.array([1.0, 0.8, -0.5, 0.0]) + 1.2 * rng.standard_normal(200)
         ds = Dataset(x=x, y=y)
-        from shapr2.models import _boost
+        from shapr2.models import _boost_steps
 
-        _, _, history = _boost(ds, 400, 0.03)
+        history = [r2 for _, r2 in _boost_steps(ds, 400, 0.03)]
         diffs = np.diff(np.array(history))
         assert np.all(diffs >= -1e-12)
 
@@ -218,3 +216,26 @@ class TestTuneIterations:
         ds, _ = make_regression(seed=13)
         with pytest.raises(InvalidValue):
             tune_iterations(ds, target_r2=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"learning_rate": 1.5},
+            {"learning_rate": 0.0},
+            {"max_iterations": 0},
+        ],
+    )
+    def test_validates_like_fit(self, kwargs):
+        ds, _ = make_regression(seed=14)
+        with pytest.raises(InvalidValue):
+            tune_iterations(ds, target_r2=0.5, **kwargs)
+
+    def test_needs_two_rows(self):
+        ds = Dataset(x=np.array([[1.0]]), y=np.array([2.0]))
+        with pytest.raises(InvalidValue):
+            tune_iterations(ds, target_r2=0.5)
+
+    def test_matches_fixed_count_fit(self):
+        ds, _ = make_regression(seed=15, n=80)
+        model, _, k = tune_iterations(ds, target_r2=0.4, learning_rate=0.05)
+        assert model == fit_stump_ensemble(ds, iterations=k, learning_rate=0.05)

