@@ -4,6 +4,8 @@ Contracts:
 
 * reports are JSON on stdout by default (``--out`` redirects to a file); CSV
   artifacts always require explicit paths,
+* outputs are all or nothing: a run that fails creates or changes none of
+  its output files,
 * exit codes: 0 success, 2 input/validation error, 3 numerical failure,
 * with fixed seeds, output bytes are identical across runs; ``--threads``
   is accepted and validated but changes neither results nor the execution
@@ -24,8 +26,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -46,20 +52,8 @@ from .errors import (
 from .metrics import ShapleyMatrix, decompose
 from .models import LinearModel, StumpEnsemble, fit_ols, fit_stump_ensemble, tune_iterations
 from .report import VERSION, build_report, dumps
-from .shapley import (
-    EXACT_FEATURE_CAP,
-    BackgroundSet,
-    SamplingConfig,
-    exact_shapley,
-    linear_shapley,
-    sampled_shapley,
-)
-from .simulation import (
-    DEFAULT_RHO_VALUES,
-    GridSpec,
-    derive_seed,
-    run_grid,
-)
+from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
+from .simulation import GridSpec, derive_seed, run_grid
 
 _VALIDATION_ERRORS = (
     ValidationError,
@@ -190,19 +184,98 @@ def _load_explain_input(path: str, target: str) -> Dataset:
 # Output helpers
 
 
-def _write_file(path: str, text: str) -> None:
+def _cannot_write(path: str, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _empty_sibling(path: str) -> str | None:
+    """Create an empty temporary file next to ``path``, with the mode a plain
+    ``open(path, "w")`` would leave ``path`` with, and return its name.
+
+    Returns None when ``path`` is a device or a pipe: replacing one would
+    swap it for a plain file, so it is written in place instead.
+    """
+    target = os.path.realpath(path)  # open() writes through symlinks too
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_text(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
+        info = os.stat(target)
+    except FileNotFoundError:
+        mask = os.umask(0)
+        os.umask(mask)
+        mode = 0o666 & ~mask
     else:
-        _write_file(out_path, text)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        mode = stat.S_IMODE(info.st_mode)
+    fd, temporary = tempfile.mkstemp(
+        dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp"
+    )
+    os.fchmod(fd, mode)
+    os.close(fd)
+    return temporary
+
+
+class _Outputs:
+    """The output files and stdout text of one command, put in place all or
+    nothing.
+
+    :meth:`stage` writes each file to a temporary sibling of its destination.
+    When the ``with`` block ends without an error, every temporary file
+    replaces its destination, and then stdout, devices and pipes get their
+    text. When it ends with an error, the temporary files are removed, and
+    no destination is created or changed.
+    """
+
+    def __init__(self):
+        # (path, or None for stdout; text; temporary file, or None)
+        self.staged: list[tuple[str | None, str, str | None]] = []
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def stage(self, path: str | None, text: str) -> None:
+        try:
+            temporary = None if path is None else _empty_sibling(path)
+            self.staged.append((path, text, temporary))
+            if temporary is not None:
+                with open(temporary, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        try:
+            if kind is None:
+                self._commit()
+        finally:
+            for _, _, temporary in self.staged:
+                if temporary is not None and os.path.lexists(temporary):
+                    os.remove(temporary)
+
+    def _commit(self) -> None:
+        for path, _, temporary in self.staged:
+            if temporary is not None:
+                try:
+                    os.replace(temporary, os.path.realpath(path))
+                except OSError as exc:
+                    raise _cannot_write(path, exc) from exc
+        for path, text, temporary in self.staged:
+            if path is None:
+                sys.stdout.write(text)
+            elif temporary is None:
+                try:
+                    with open(path, "w", encoding="utf-8", newline="") as handle:
+                        handle.write(text)
+                except OSError as exc:
+                    raise _cannot_write(path, exc) from exc
+
+
+def _write_text(text: str, out_path: str | None, outputs: _Outputs) -> None:
+    """Stage ``text`` for ``out_path``, or for stdout when it is None."""
+    outputs.stage(out_path, text)
 
 
 def _csv_cell(value) -> str:
@@ -213,10 +286,10 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: list[str], rows: list[tuple], outputs: _Outputs) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    _write_file(path, "\n".join(lines) + "\n")
+    outputs.stage(path, "\n".join(lines) + "\n")
 
 
 def _model_document(model) -> dict:
@@ -300,7 +373,8 @@ def cmd_decompose(args) -> int:
         "version": VERSION,
     }
     report = build_report(result, provenance, tuple(extra_warnings))
-    _write_text(dumps(report), args.out)
+    with _Outputs() as outputs:
+        _write_text(dumps(report), args.out, outputs)
     return 0
 
 
@@ -333,8 +407,6 @@ def _explain_attributions(args, dataset: Dataset, model) -> ShapleyMatrix:
         return sampled_shapley(model, dataset, BackgroundSet(dataset.x), config)
     background = BackgroundSet(dataset.x)
     if args.background_subsample is not None:
-        if args.background_subsample < 1:
-            raise ValidationError("--background-subsample must be >= 1")
         if args.background_subsample > dataset.n_rows:
             raise ValidationError(
                 "--background-subsample exceeds the number of data rows"
@@ -353,6 +425,10 @@ def _explain_attributions(args, dataset: Dataset, model) -> ShapleyMatrix:
 
 
 def cmd_explain(args) -> int:
+    if args.permutations < 1:
+        raise ValidationError("--permutations must be >= 1")
+    if args.background_subsample is not None and args.background_subsample < 1:
+        raise ValidationError("--background-subsample must be >= 1")
     dataset = _load_explain_input(args.csv, args.target)
     try:
         model, tuned_iterations = _fit_explain_model(args, dataset)
@@ -386,22 +462,24 @@ def cmd_explain(args) -> int:
         "seed": args.seed,
         "version": VERSION,
     }
-    report = build_report(result, provenance)
-    if args.emit_shap is not None:
-        names = [f"phi_{name}" for name in matrix.feature_names]
-        rows = [
-            (
-                float(dataset.y[i]),
-                float(yhat[i]),
-                float(matrix.phi0),
-                *(float(v) for v in matrix.phi[i]),
-            )
-            for i in range(dataset.n_rows)
-        ]
-        _write_csv(args.emit_shap, ["y", "yhat", "phi0", *names], rows)
-    if args.emit_model is not None:
-        _write_text(dumps(_model_document(model)), args.emit_model)
-    _write_text(dumps(report), args.out)
+    report = dumps(build_report(result, provenance))
+    model_text = None if args.emit_model is None else dumps(_model_document(model))
+    with _Outputs() as outputs:
+        if args.emit_shap is not None:
+            names = [f"phi_{name}" for name in matrix.feature_names]
+            rows = [
+                (
+                    float(dataset.y[i]),
+                    float(yhat[i]),
+                    float(matrix.phi0),
+                    *(float(v) for v in matrix.phi[i]),
+                )
+                for i in range(dataset.n_rows)
+            ]
+            _write_csv(args.emit_shap, ["y", "yhat", "phi0", *names], rows, outputs)
+        if model_text is not None:
+            _write_text(model_text, args.emit_model, outputs)
+        _write_text(report, args.out, outputs)
     return 0
 
 
@@ -533,13 +611,15 @@ def _grid_summary(grid) -> dict:
 def cmd_simulate(args) -> int:
     grid_spec = _grid_from_args(args)
     grid = run_grid(grid_spec)
-    rows = grid.rows()
-    _write_csv(
-        args.out,
-        ["rho", "config_id", "status", "sigma_unique", "baseline_r2"],
-        rows,
-    )
-    _write_text(dumps(_grid_summary(grid)), args.summary_out)
+    summary = dumps(_grid_summary(grid))
+    with _Outputs() as outputs:
+        _write_csv(
+            args.out,
+            ["rho", "config_id", "status", "sigma_unique", "baseline_r2"],
+            grid.rows(),
+            outputs,
+        )
+        _write_text(summary, args.summary_out, outputs)
     return 0
 
 

@@ -11,10 +11,12 @@ Three routes to an attribution matrix:
 
 The value of a coalition is the interventional (marginal) expectation: the
 mean prediction over a background set with the coalition's features pinned to
-the explained instance's values. Everything is a pure function of inputs plus
-the sampling seed; per-instance randomness comes from counter-based streams
-keyed by ``seed XOR instance_index``, so results do not depend on the order
-in which instances are evaluated.
+the explained instance's values; one batched primitive computes it for a
+boolean mask matrix, for both black-box engines and :func:`coalition_value`.
+Everything is a pure function of inputs plus the sampling seed; per-instance
+randomness comes from counter-based streams keyed by ``seed XOR
+instance_index``, so results do not depend on the order in which instances
+are evaluated.
 """
 
 from __future__ import annotations
@@ -121,15 +123,16 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
     background prediction; the full coalition is exactly ``predict(x)``.
     """
     row = np.asarray(x, dtype=float)
+    if row.shape != (background.n_features,):
+        raise ShapeError("instance length does not match the background columns")
     idx = sorted(set(int(f) for f in coalition))
     if idx and not (0 <= idx[0] and idx[-1] < row.shape[0]):
         raise ShapeError("coalition contains out-of-range feature indices")
     if len(idx) == row.shape[0]:
         return _predict_one(predictor, row)
-    rows = np.array(background.rows)
-    if idx:
-        rows[:, idx] = row[idx]
-    return float(_predict_batch(predictor, rows).mean())
+    bits = np.zeros((1, row.shape[0]), dtype=bool)
+    bits[0, idx] = True
+    return float(_coalition_values(predictor, row, bits, background.rows)[0])
 
 
 def _resolve_background(dataset: Dataset, background: BackgroundSet | None) -> BackgroundSet:
@@ -143,23 +146,26 @@ def _resolve_background(dataset: Dataset, background: BackgroundSet | None) -> B
 _BATCH_ROW_LIMIT = 8192
 
 
-def _mask_chunks(masks: list[int], bg_rows: int):
-    per_chunk = max(1, _BATCH_ROW_LIMIT // bg_rows)
-    for start in range(0, len(masks), per_chunk):
-        yield masks[start : start + per_chunk]
+def _coalition_values(predictor: Predictor, row: np.ndarray, bits: np.ndarray, bg) -> np.ndarray:
+    """Coalition values of one instance for every row of a K x F mask matrix.
 
-
-def _masked_values(
-    predictor: Predictor, row: np.ndarray, masks: list[int], bg: np.ndarray
-) -> np.ndarray:
-    """Coalition values for several masks in one batched predictor call."""
-    n_bg, n_features = bg.shape
-    block = np.tile(bg, (len(masks), 1))
-    for j, mask in enumerate(masks):
-        cols = [f for f in range(n_features) if mask & (1 << f)]
-        block[j * n_bg : (j + 1) * n_bg, cols] = row[cols]
-    preds = _predict_batch(predictor, block)
-    return preds.reshape(len(masks), n_bg).mean(axis=1)
+    Value ``k`` is the mean prediction over a background with the columns
+    set in ``bits[k]`` replaced by ``row``. ``bg`` is either a B x F
+    background shared by every mask, or a pair ``(rows, index)`` giving mask
+    ``k`` the background ``rows[index[k]]``; those are gathered one chunk at
+    a time. Predictor calls hold at most ``_BATCH_ROW_LIMIT`` rows, and at
+    least one mask.
+    """
+    rows, index = bg if isinstance(bg, tuple) else (bg, None)
+    n_bg = rows.shape[0] if index is None else index.shape[1]
+    per_call = max(1, _BATCH_ROW_LIMIT // n_bg)
+    values = np.empty(bits.shape[0])
+    for start in range(0, bits.shape[0], per_call):
+        chunk = slice(start, start + per_call)
+        chunk_bg = rows if index is None else rows[index[chunk]]
+        block = np.where(bits[chunk, None, :], row, chunk_bg).reshape(-1, row.shape[0])
+        values[chunk] = _predict_batch(predictor, block).reshape(-1, n_bg).mean(axis=1)
+    return values
 
 
 def exact_shapley(
@@ -172,8 +178,9 @@ def exact_shapley(
     """Exact attributions by full coalition enumeration.
 
     Satisfies the efficiency, symmetry, dummy, and linearity axioms up to
-    floating point. Cost is ``O(2^F * B)`` predictor rows per instance;
-    refuses when F exceeds ``feature_cap`` and points at the sampled engine.
+    floating point. Cost is ``(2^F - 1) * B`` predictor rows per instance,
+    one bit-matrix row per non-empty mask; refuses when F exceeds
+    ``feature_cap`` and points at the sampled engine.
     """
     background = _resolve_background(dataset, background)
     x = dataset.x
@@ -186,7 +193,9 @@ def exact_shapley(
         )
 
     n_masks = 1 << n_features
-    popcount = np.array([bin(m).count("1") for m in range(n_masks)])
+    # row m holds the bits of mask m: feature f is in coalition m iff bit f is set
+    bits = ((np.arange(n_masks)[:, None] >> np.arange(n_features)) & 1).astype(bool)
+    popcount = bits.sum(axis=1)
     fact = [math.factorial(k) for k in range(n_features + 1)]
     # weight of a coalition S (not containing f): |S|! (F-|S|-1)! / F!
     size_weight = np.array(
@@ -195,24 +204,19 @@ def exact_shapley(
             for s in range(n_features)
         ]
     )
-    masks_without = [
-        np.array([m for m in range(n_masks) if not m & (1 << f)])
-        for f in range(n_features)
-    ]
+    masks_without = [np.flatnonzero(~bits[:, f]) for f in range(n_features)]
 
     base_value = float(_predict_batch(predictor, background.rows).mean())
     bg = background.rows
-    # every non-empty mask (the full one included) goes through the same
-    # batched-mean path, so a provably ignored feature gets an exactly-zero
-    # column: each of its coalition-value differences cancels bit-for-bit
-    inner_masks = list(range(1, n_masks))
 
     phi = np.empty(x.shape)
     values = np.empty(n_masks)
     values[0] = base_value
     for i, row in enumerate(x):
-        for chunk in _mask_chunks(inner_masks, bg.shape[0]):
-            values[chunk] = _masked_values(predictor, row, chunk, bg)
+        # every non-empty mask (the full one included) goes through the same
+        # batched-mean path, so a provably ignored feature gets an exactly-zero
+        # column: each of its coalition-value differences cancels bit-for-bit
+        values[1:] = _coalition_values(predictor, row, bits[1:], bg)
         for f in range(n_features):
             sel = masks_without[f]
             deltas = values[sel | (1 << f)] - values[sel]
@@ -231,7 +235,7 @@ def sampled_shapley(
     background: BackgroundSet | None = None,
     config: SamplingConfig | None = None,
 ) -> ShapleyMatrix:
-    """Permutation-sampling attribution estimate.
+    """Permutation-sampling attribution estimate (Strumbelj & Kononenko).
 
     For each instance, averages marginal contributions over M random feature
     permutations; each permutation's contributions telescope from the shared
@@ -240,10 +244,12 @@ def sampled_shapley(
     stream keyed by ``seed XOR i``; output is bit-identical for a fixed
     config.
 
-    With ``background_subsample`` set, each permutation evaluates its
-    coalition values against a fresh seeded subsample of the background
-    (cost control for large backgrounds); the chain stays anchored at the
-    full-background base value so additivity is preserved.
+    An instance's M permutations are drawn up front and their proper
+    prefixes form one mask matrix; each distinct prefix is evaluated once.
+    With ``background_subsample`` set, each permutation instead evaluates its
+    prefixes against a fresh seeded subsample of the background (cost control
+    for large backgrounds); the chain stays anchored at the full-background
+    base value so additivity is preserved.
     """
     if config is None:
         raise InvalidValue("sampled_shapley requires a SamplingConfig")
@@ -265,40 +271,33 @@ def sampled_shapley(
     n_perms = config.permutations_per_instance
     seed = int(config.seed)
 
+    n_prefix = n_features - 1
     phi = np.empty(x.shape)
     for i, row in enumerate(x):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ i)))
-        full_value = _predict_one(predictor, row)
+        subsets = []
+        perms = np.empty((n_perms, n_features), dtype=np.intp)
+        for m in range(n_perms):
+            if sub is not None:
+                subsets.append(rng.choice(n_bg, size=sub, replace=False))
+            perms[m] = rng.permutation(n_features)
+        # prefix p of permutation m holds the features at positions 0..p
+        position = np.argsort(perms, axis=1)
+        bits = (position[:, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
+        if sub is None:
+            unique, inverse = np.unique(bits, axis=0, return_inverse=True)
+            chain = _coalition_values(predictor, row, unique, bg)[inverse.reshape(-1)]
+        else:
+            index = np.repeat(np.array(subsets), n_prefix, axis=0)
+            chain = _coalition_values(predictor, row, bits, (bg, index))
+        path = np.empty((n_perms, n_features + 1))
+        path[:, 0] = base_value
+        path[:, 1:-1] = chain.reshape(n_perms, n_prefix)
+        path[:, -1] = _predict_one(predictor, row)
+        # np.add.at adds unbuffered in C order: the same additions, in the same
+        # order, as walking each permutation position by position
         contrib = np.zeros(n_features)
-        cache: dict[int, float] | None = {} if sub is None else None
-        for _ in range(n_perms):
-            if sub is None:
-                rows_src = bg
-            else:
-                rows_src = bg[rng.choice(n_bg, size=sub, replace=False)]
-            perm = rng.permutation(n_features)
-            prefix_masks = []
-            mask = 0
-            for pos in range(n_features - 1):
-                mask |= 1 << int(perm[pos])
-                prefix_masks.append(mask)
-            if cache is not None:
-                missing = [m for m in prefix_masks if m not in cache]
-                if missing:
-                    cache.update(
-                        zip(missing, _masked_values(predictor, row, missing, rows_src))
-                    )
-                chain = [cache[m] for m in prefix_masks]
-            elif prefix_masks:
-                chain = list(_masked_values(predictor, row, prefix_masks, rows_src))
-            else:
-                chain = []
-            chain.append(full_value)
-            prev = base_value
-            for pos in range(n_features):
-                current = chain[pos]
-                contrib[int(perm[pos])] += current - prev
-                prev = current
+        np.add.at(contrib, perms, np.diff(path, axis=1))
         phi[i] = contrib / n_perms
 
     return ShapleyMatrix(

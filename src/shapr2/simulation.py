@@ -99,6 +99,11 @@ class GridSpec:
             raise InvalidValue("coefficient_configs is empty")
         if self.seed < 0:
             raise InvalidValue("seed must be a non-negative integer")
+        # checked for every estimator, so an invalid value is never ignored
+        if self.permutations < 1:
+            raise InvalidValue("permutations must be >= 1")
+        if self.background_subsample is not None and self.background_subsample < 1:
+            raise InvalidValue("background_subsample must be >= 1 when set")
 
 
 @dataclass(frozen=True)

@@ -456,14 +456,54 @@ class TestErrorPaths:
             ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "/nonexistent/g.csv"),
             ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "{tmp}/g.csv",
              "--summary-out", "/nonexistent/s.json"),
+            ("explain", "{csv}", "--target", "outcome", "--emit-shap", "{tmp}/phi.csv",
+             "--emit-model", "{tmp}/m.json", "--out", "/nonexistent/r.json"),
         ],
-        ids=["explain-out", "emit-shap", "emit-model", "simulate-out", "summary-out"],
+        ids=["explain-out", "emit-shap", "emit-model", "simulate-out", "summary-out",
+             "out-after-emits"],
     )
     def test_unwritable_output(self, cli, explain_csv, tmp_path, argv):
         argv = [a.format(csv=explain_csv, tmp=tmp_path) for a in argv]
+        before = sorted(tmp_path.iterdir())
         result = cli(*argv)
         _assert_input_error(result)
         assert "cannot write /nonexistent/" in result.stderr
+        assert result.stdout == ""
+        # all or nothing: no other output, and no temporary file, is left
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_write_keeps_existing_output(self, cli, explain_csv, tmp_path):
+        phi = tmp_path / "phi.csv"
+        phi.write_text("old\n", encoding="utf-8")
+        phi.chmod(0o640)
+        argv = ("explain", str(explain_csv), "--target", "outcome", "--emit-shap", str(phi))
+        _assert_input_error(cli(*argv, "--out", "/nonexistent/r.json"))
+        assert phi.read_text(encoding="utf-8") == "old\n"
+        assert cli(*argv, "--out", str(tmp_path / "r.json")).code == 0
+        assert phi.read_text(encoding="utf-8").startswith("y,yhat,phi0,")
+        assert phi.stat().st_mode & 0o777 == 0o640  # as open(path, "w") leaves it
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("explain", "{csv}", "--target", "outcome", "--permutations", "0"),
+            ("explain", "{csv}", "--target", "outcome", "--permutations", "-3", "--sampled"),
+            ("explain", "{csv}", "--target", "outcome", "--background-subsample", "-5",
+             "--sampled"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "30", "--permutations", "0",
+             "--out", "{tmp}/g.csv"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "30", "--background-subsample", "-5",
+             "--permutations", "0", "--out", "{tmp}/g.csv"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "30", "--estimator", "sampled",
+             "--background-subsample", "0", "--out", "{tmp}/g.csv"),
+        ],
+        ids=["explain-exact-permutations", "explain-sampled-permutations",
+             "explain-sampled-subsample", "simulate-linear-permutations",
+             "simulate-linear-both", "simulate-sampled-subsample"],
+    )
+    def test_sampling_options_below_one(self, cli, explain_csv, tmp_path, argv):
+        _assert_input_error(cli(*[a.format(csv=explain_csv, tmp=tmp_path) for a in argv]))
+        assert not (tmp_path / "g.csv").exists()
 
     def test_csv_with_byte_order_mark(self, cli, tmp_path, monkeypatch):
         (tmp_path / "data").mkdir()

@@ -11,7 +11,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import shapr2.shapley
 from shapr2 import (
     BackgroundSet,
     Dataset,
@@ -109,6 +113,12 @@ class TestCoalitionValue:
         p = LinearPredictor(0.0, [1.0, 2.0])
         with pytest.raises(ShapeError):
             coalition_value(p, [1.0, 2.0], [5], BackgroundSet(np.zeros((1, 2))))
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]])
+    def test_instance_must_match_background_width(self, x):
+        p = LinearPredictor(0.0, [1.0, 2.0])
+        with pytest.raises(ShapeError):
+            coalition_value(p, x, [0], BackgroundSet(np.zeros((2, 2))))
 
 
 class TestExactShapley:
@@ -354,3 +364,173 @@ class TestConfigValidation:
     def test_background_needs_rows(self):
         with pytest.raises(ShapeError):
             BackgroundSet(np.zeros((0, 3)))
+
+
+class SquarePredictor:
+    feature_count = 1
+
+    def predict(self, row):
+        return float(row[0] ** 2 - 0.5 * row[0])
+
+    def predict_batch(self, rows):
+        return rows[:, 0] ** 2 - 0.5 * rows[:, 0]
+
+
+class WavePredictor:
+    """Nonlinear in every feature and with an interaction, for any width."""
+
+    def __init__(self, n_features):
+        self.feature_count = n_features
+        self.weights = np.linspace(0.5, 1.5, n_features)
+
+    def predict(self, row):
+        row = np.asarray(row, dtype=float)
+        return float(sum(w * math.sin(v) for w, v in zip(self.weights, row)) + row[0] * row[-1])
+
+    def predict_batch(self, rows):
+        return np.sin(rows) @ self.weights + rows[:, 0] * rows[:, -1]
+
+
+class CountingPredictor:
+    """Counts the rows asked of a predictor, and the size of each batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.feature_count = inner.feature_count
+        self.rows = 0
+        self.batches = []
+
+    def predict(self, row):
+        self.rows += 1
+        return self.inner.predict(row)
+
+    def predict_batch(self, rows):
+        self.rows += len(rows)
+        self.batches.append(len(rows))
+        return self.inner.predict_batch(rows)
+
+
+def distinct_prefixes(n_features, n_perms, seed, instance):
+    """Distinct proper non-empty permutation prefixes of one instance,
+    replayed from its documented stream (no subsample: one permutation draw
+    per permutation)."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ instance)))
+    seen = set()
+    for _ in range(n_perms):
+        perm = rng.permutation(n_features)
+        seen.update(frozenset(perm[: p + 1].tolist()) for p in range(n_features - 1))
+    return len(seen)
+
+
+_PIN_RNG = np.random.default_rng(2024)
+_PIN_X1, _PIN_BG1 = _PIN_RNG.standard_normal((3, 1)), _PIN_RNG.standard_normal((5, 1))
+_PIN_X4, _PIN_BG4 = _PIN_RNG.standard_normal((3, 4)), _PIN_RNG.standard_normal((6, 4))
+_PIN_F1_PHI = [[-0.32724300947671436], [1.0035803600431348], [-0.12975512481886986]]
+
+
+class TestEngineRegression:
+    """Outputs and predictor row counts of the engines, pinned."""
+
+    @pytest.mark.parametrize(
+        "case, subsample, phi0, phi",
+        [
+            ("f1", None, 0.87136103957884214, _PIN_F1_PHI),
+            ("f1", 3, 0.87136103957884214, _PIN_F1_PHI),
+            ("f4", None, -0.59371224724177407, [
+                [5.8916432971545998, -0.16891342375533469, 0.79973852650971045, 1.6990120470338148],
+                [-1.4001146763106056, -2.0967804246552162, 0.25162886538821805, 0.11941157517856933],
+                [-2.6485927548608963, 0.78104734411968735, -0.758401042858455, -1.0261331609511077],
+            ]),
+            ("f4", 3, -0.59371224724177407, [
+                [5.912937500189309, 0.19584982100993037, 0.74187607844982151, 1.3708170472937298],
+                [-1.2755687679757248, -2.0086210284084651, -0.11666724814032428, 0.27500238412547906],
+                [-2.8262748758939895, 0.10100175853761835, -0.69946756775070851, -0.22733892944369152],
+            ]),
+        ],
+    )
+    def test_pinned_values(self, case, subsample, phi0, phi):
+        predictor, x, bg = (
+            (SquarePredictor(), _PIN_X1, _PIN_BG1) if case == "f1"
+            else (CubicPredictor(), _PIN_X4, _PIN_BG4)
+        )
+        result = sampled_shapley(
+            predictor, Dataset(x=x), BackgroundSet(bg), SamplingConfig(5, 123, subsample)
+        )
+        assert result.phi0 == phi0
+        assert np.array_equal(result.phi, np.array(phi))
+
+    def test_exact_row_count(self):
+        n, f, b = 3, 4, 6
+        counter = CountingPredictor(CubicPredictor())
+        exact_shapley(counter, Dataset(x=_PIN_X4), BackgroundSet(_PIN_BG4))
+        assert counter.rows == n * (2**f - 1) * b + b
+
+    def test_subsampled_row_count(self):
+        n, f, b, m, k = 3, 4, 6, 7, 4
+        counter = CountingPredictor(CubicPredictor())
+        sampled_shapley(counter, Dataset(x=_PIN_X4), BackgroundSet(_PIN_BG4), SamplingConfig(m, 9, k))
+        assert counter.rows == n * m * (f - 1) * k + b + n
+
+    def test_unsubsampled_row_count(self):
+        n, f, b, m, seed = 3, 4, 6, 7, 9
+        counter = CountingPredictor(CubicPredictor())
+        sampled_shapley(counter, Dataset(x=_PIN_X4), BackgroundSet(_PIN_BG4), SamplingConfig(m, seed))
+        unique = [distinct_prefixes(f, m, seed, i) for i in range(n)]
+        assert sum(unique) < n * m * (f - 1)  # prefixes repeat, and are evaluated once
+        assert counter.rows == b + n + b * sum(unique)
+
+    @pytest.mark.parametrize("subsample", [None, 4])
+    def test_row_limit_bounds_batches_not_results(self, monkeypatch, subsample):
+        ds, bg = Dataset(x=_PIN_X4), BackgroundSet(_PIN_BG4)
+        config = SamplingConfig(7, 9, subsample)
+        wide = [exact_shapley(CubicPredictor(), ds, bg), sampled_shapley(CubicPredictor(), ds, bg, config)]
+        monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", 13)
+        counter = CountingPredictor(CubicPredictor())
+        narrow = [exact_shapley(counter, ds, bg), sampled_shapley(counter, ds, bg, config)]
+        for a, b in zip(wide, narrow):
+            assert np.array_equal(a.phi, b.phi) and a.phi0 == b.phi0
+        assert max(counter.batches) <= 13
+
+
+_PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+_VALUES = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def instances_and_background(draw, max_rows=4):
+    n_features = draw(st.integers(1, 5))
+    x = draw(hnp.arrays(np.float64, (draw(st.integers(1, max_rows)), n_features), elements=_VALUES))
+    bg = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), n_features), elements=_VALUES))
+    return x, bg
+
+
+class TestProperties:
+    @_PROPERTY_SETTINGS
+    @given(data=instances_and_background(max_rows=1), choice=st.data())
+    def test_coalition_value_matches_oracle(self, data, choice):
+        x, bg = data
+        n_features = x.shape[1]
+        subset = choice.draw(st.sets(st.integers(0, n_features - 1)))
+        predictor = WavePredictor(n_features)
+        value = coalition_value(predictor, x[0], sorted(subset), BackgroundSet(bg))
+        expected = oracle_value(predictor, x[0], subset, bg)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @_PROPERTY_SETTINGS
+    @given(
+        data=instances_and_background(),
+        n_perms=st.integers(1, 20),
+        seed=st.integers(0, 2**64 - 1),
+        choice=st.data(),
+    )
+    def test_sampled_additivity(self, data, n_perms, seed, choice):
+        x, bg = data
+        subsample = choice.draw(st.one_of(st.none(), st.integers(1, bg.shape[0])))
+        predictor = WavePredictor(x.shape[1])
+        result = sampled_shapley(
+            predictor, Dataset(x=x), BackgroundSet(bg), SamplingConfig(n_perms, seed, subsample)
+        )
+        expected = predictor.predict_batch(x)
+        recon = result.phi0 + result.phi.sum(axis=1)
+        scale = np.maximum(np.abs(expected), 1.0)
+        assert np.max(np.abs(recon - expected) / scale) <= 1e-12
