@@ -50,7 +50,14 @@ from .errors import (
     ValidationError,
 )
 from .metrics import ShapleyMatrix, decompose
-from .models import LinearModel, StumpEnsemble, fit_ols, fit_stump_ensemble, tune_iterations
+from .models import (
+    LinearModel,
+    Stump,
+    StumpEnsemble,
+    fit_ols,
+    fit_stump_ensemble,
+    tune_iterations,
+)
 from .report import VERSION, build_report, dumps
 from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
 from .simulation import GridSpec, derive_seed, run_grid
@@ -127,6 +134,27 @@ def _parse_column(name: str, idx: int, rows: list[list[str]], path: str) -> np.n
     return out
 
 
+def _parse_columns(names: list[str], header: list[str], rows: list[list[str]], path: str) -> np.ndarray:
+    """The named columns as the rows of a C-contiguous float matrix, in the
+    order of ``names``.
+
+    numpy parses the whole table at once, calling ``float()`` on each cell
+    as the per-cell scan does; when it fails or yields a non-finite value,
+    the per-cell scan of the named columns, in order, finds and reports the
+    first bad cell.
+    """
+    idx = [header.index(name) for name in names]
+    if not any("_" in "".join(row) for row in rows):
+        try:
+            columns = np.array(rows, dtype=float).T[idx]
+        except ValueError:
+            pass
+        else:
+            if np.all(np.isfinite(columns)):
+                return columns
+    return np.array([_parse_column(name, i, rows, path) for name, i in zip(names, idx)])
+
+
 def _load_decompose_input(path: str, phi0_flag: float | None):
     header, rows = _read_table(path)
     for required in ("y", "yhat"):
@@ -140,30 +168,26 @@ def _load_decompose_input(path: str, phi0_flag: float | None):
         if name not in known:
             raise ValidationError(f"{path}: unexpected column {name!r}")
 
-    y = _parse_column("y", header.index("y"), rows, path)
-    yhat = _parse_column("yhat", header.index("yhat"), rows, path)
-    phi_cols = [
-        _parse_column(name, header.index(name), rows, path) for name in phi_names
-    ]
-
+    phi0_column = "phi0" in header and phi0_flag is None
+    columns = _parse_columns(
+        ["y", "yhat", *phi_names, *(["phi0"] if phi0_column else [])], header, rows, path
+    )
+    if "phi0" in header and not phi0_column:
+        raise ValidationError(f"{path}: phi0 provided both as a column and as --phi0")
     phi0 = phi0_flag
-    if "phi0" in header:
-        if phi0_flag is not None:
-            raise ValidationError(
-                f"{path}: phi0 provided both as a column and as --phi0"
-            )
-        col = _parse_column("phi0", header.index("phi0"), rows, path)
+    if phi0_column:
+        col = columns[-1]
         if np.unique(col).size != 1:
             raise ValidationError(f"{path}: phi0 column is not constant")
         phi0 = float(col[0])
 
     matrix = ShapleyMatrix(
-        phi=np.column_stack(phi_cols),
+        phi=columns[2:2 + len(phi_names)].T,
         phi0=phi0,
         feature_names=tuple(name[len("phi_"):] for name in phi_names),
         provenance="ingested",
     )
-    return y, yhat, matrix
+    return columns[0], columns[1], matrix
 
 
 def _load_explain_input(path: str, target: str) -> Dataset:
@@ -173,11 +197,8 @@ def _load_explain_input(path: str, target: str) -> Dataset:
     feature_names = [name for name in header if name != target]
     if not feature_names:
         raise ValidationError(f"{path}: no feature columns besides the target")
-    y = _parse_column(target, header.index(target), rows, path)
-    x = np.column_stack(
-        [_parse_column(name, header.index(name), rows, path) for name in feature_names]
-    )
-    return Dataset(x=x, y=y, feature_names=tuple(feature_names))
+    columns = _parse_columns([target, *feature_names], header, rows, path)
+    return Dataset(x=columns[1:].T, y=columns[0], feature_names=tuple(feature_names))
 
 
 # ---------------------------------------------------------------------------
@@ -318,31 +339,53 @@ def _model_document(model) -> dict:
     raise InvalidValue(f"cannot serialize model of type {type(model).__name__}")
 
 
-def model_from_document(doc: dict):
-    """Rebuild a fitted model from its JSON document."""
-    kind = doc.get("type")
-    if kind == "linear":
-        return LinearModel(
-            intercept=float(doc["intercept"]),
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-        )
-    if kind == "stump_ensemble":
-        from .models import Stump
+def _document_value(record, key: str, types=(int, float), expected: str = "a number"):
+    """``record[key]``, which must have one of the JSON ``types``."""
+    if not isinstance(record, dict):
+        raise ValidationError(f"model document: expected an object, got {record!r}")
+    if key not in record:
+        raise ValidationError(f"model document: missing key {key!r}")
+    value = record[key]
+    if not _has_type(value, types):
+        raise ValidationError(f"model document: {key} must be {expected}, got {value!r}")
+    return value
 
-        return StumpEnsemble(
-            init_value=float(doc["init_value"]),
-            stumps=tuple(
-                Stump(
-                    feature_index=int(s["feature_index"]),
-                    threshold=float(s["threshold"]),
-                    left_value=float(s["left_value"]),
-                    right_value=float(s["right_value"]),
+
+def model_from_document(doc: dict):
+    """Rebuild a fitted model from its JSON document. A document that is not
+    an object, lacks a key or holds a value of the wrong JSON type raises
+    ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model document: expected an object, got {doc!r}")
+    kind = doc.get("type")
+    try:
+        if kind == "linear":
+            coefficients = _document_value(doc, "coefficients", list, "a list of numbers")
+            if not all(_has_type(c, (int, float)) for c in coefficients):
+                raise ValidationError(
+                    f"model document: coefficients must be a list of numbers, got {coefficients!r}"
                 )
-                for s in doc["stumps"]
-            ),
-            learning_rate=float(doc["learning_rate"]),
-            n_features=int(doc["n_features"]),
-        )
+            return LinearModel(
+                intercept=float(_document_value(doc, "intercept")),
+                coefficients=np.array(coefficients, dtype=float),
+            )
+        if kind == "stump_ensemble":
+            return StumpEnsemble(
+                init_value=float(_document_value(doc, "init_value")),
+                stumps=tuple(
+                    Stump(
+                        feature_index=_document_value(s, "feature_index", int, "an integer"),
+                        threshold=float(_document_value(s, "threshold")),
+                        left_value=float(_document_value(s, "left_value")),
+                        right_value=float(_document_value(s, "right_value")),
+                    )
+                    for s in _document_value(doc, "stumps", list, "a list")
+                ),
+                learning_rate=float(_document_value(doc, "learning_rate")),
+                n_features=_document_value(doc, "n_features", int, "an integer"),
+            )
+    except OverflowError:
+        raise ValidationError("model document: a number is out of float range") from None
     raise ValidationError(f"unknown model document type {kind!r}")
 
 

@@ -4,6 +4,13 @@ Just enough model zoo for the full fit / explain / decompose pipeline to run
 without external ML dependencies, including the underfit-to-overfit sweep
 (boosted stumps tuned to a requested training fit). Fitted models are
 immutable and safe for concurrent prediction.
+
+A stump ensemble is compiled once, on construction, into one step table per
+feature: the feature's sorted thresholds and the summed contribution of all
+its stumps between consecutive thresholds. Prediction is then one
+``searchsorted`` per feature instead of one pass per stump. The sum is taken
+in a different order than stump by stump, so predictions agree with the
+per-stump sum to about 1e-15 relative, not bit for bit.
 """
 
 from __future__ import annotations
@@ -61,32 +68,71 @@ class Stump:
 
 @dataclass(frozen=True)
 class StumpEnsemble:
+    """``init_value`` plus ``learning_rate`` times each stump's leaf value.
+
+    Construction validates the parameters and compiles ``_tables``: for each
+    feature with at least one stump, ``(feature, thresholds, steps)`` where
+    ``thresholds`` are the feature's stump thresholds, sorted, and
+    ``steps[j]`` is the summed scaled leaf value of its stumps for any ``x``
+    with ``thresholds[j-1] < x <= thresholds[j]``. A repeated threshold
+    leaves a step that no ``x`` reaches; it is kept rather than merged with
+    ``np.unique``, which would import ``numpy.ma`` (about 1 MB resident) on
+    every run. The tables are not fields, so equality, hashing and repr see
+    only the stumps.
+    """
+
     init_value: float
     stumps: tuple[Stump, ...]
     learning_rate: float
     n_features: int
+
+    def __post_init__(self):
+        if self.n_features < 1:
+            raise ShapeError("n_features must be >= 1")
+        if not 0.0 < self.learning_rate <= 1.0:
+            raise InvalidValue("learning_rate must be in (0, 1]")
+        for s in self.stumps:
+            if not 0 <= s.feature_index < self.n_features:
+                raise ShapeError(
+                    f"stump feature_index {s.feature_index} outside [0, {self.n_features})"
+                )
+        features = np.array([s.feature_index for s in self.stumps], dtype=np.int64)
+        values = np.array(
+            [(s.threshold, s.left_value, s.right_value) for s in self.stumps], dtype=float
+        ).reshape(-1, 3)
+        if not (np.all(np.isfinite(values)) and math.isfinite(self.init_value)):
+            raise InvalidValue("model parameters must be finite")
+        tables = []
+        for f in sorted({s.feature_index for s in self.stumps}):
+            mine = values[features == f]
+            thresholds, left, right = np.ascontiguousarray(
+                mine[np.argsort(mine[:, 0], kind="stable")].T
+            )
+            # steps[j] holds for x above j of the sorted thresholds and at or
+            # below the rest: those j stumps send x right, the others left
+            steps = self.learning_rate * (
+                np.concatenate(([0.0], np.cumsum(right)))
+                + np.concatenate((np.cumsum(left[::-1])[::-1], [0.0]))
+            )
+            thresholds.flags.writeable = False
+            steps.flags.writeable = False
+            tables.append((f, thresholds, steps))
+        object.__setattr__(self, "_tables", tuple(tables))
 
     @property
     def feature_count(self) -> int:
         return self.n_features
 
     def predict(self, row) -> float:
-        r = np.asarray(row, dtype=float)
-        total = self.init_value
-        for s in self.stumps:
-            total += self.learning_rate * (
-                s.left_value if r[s.feature_index] <= s.threshold else s.right_value
-            )
-        return float(total)
+        return float(self.predict_batch(np.asarray(row, dtype=float)[None])[0])
 
     def predict_batch(self, rows) -> np.ndarray:
+        # searchsorted's side="left" sends x == threshold left, and NaN,
+        # which sorts last, right, as ``x <= threshold`` does
         x = np.asarray(rows, dtype=float)
         out = np.full(x.shape[0], self.init_value)
-        lr = self.learning_rate
-        for s in self.stumps:
-            out += lr * np.where(
-                x[:, s.feature_index] <= s.threshold, s.left_value, s.right_value
-            )
+        for f, thresholds, steps in self._tables:
+            out += steps[np.searchsorted(thresholds, x[:, f])]
         return out
 
 

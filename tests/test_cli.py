@@ -3,11 +3,17 @@ golden-file byte stability, and cross-run determinism."""
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
+from shapr2 import cli as cli_module
+from shapr2.errors import InvalidValue, ShapeError, ValidationError
+from shapr2.models import LinearModel, Stump, StumpEnsemble
 
 GOLDEN_REPORT = DATA_DIR / "golden_report.json"
 
@@ -69,6 +75,21 @@ class TestDecompose:
         result = cli("decompose", str(path))
         assert result.code == 2
         assert "phi_a" in result.stderr and "line 2" in result.stderr
+
+    def test_digit_separator_names_location(self, cli, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_csv(path, ["y", "yhat", "phi_a"], [[1, 2, 0.5], [3, "1_000", 0.5]])
+        result = cli("decompose", str(path))
+        assert result.code == 2
+        assert "line 3, column 'yhat'" in result.stderr and "'1_000'" in result.stderr
+
+    def test_first_bad_cell_in_column_order(self, cli, tmp_path):
+        # columns are scanned y, yhat, phi_*, phi0, whatever the header order
+        path = tmp_path / "bad.csv"
+        write_csv(path, ["phi_a", "yhat", "y"], [["oops", 2, 1], [0.5, 4, "inf"]])
+        result = cli("decompose", str(path))
+        assert result.code == 2
+        assert "line 3, column 'y': non-finite value 'inf'" in result.stderr
 
     def test_nan_rejected(self, cli, tmp_path):
         path = tmp_path / "bad.csv"
@@ -199,6 +220,13 @@ class TestExplain:
         result = cli("explain", str(path), "--target", "t")
         assert result.code == 2
         assert "label" in result.stderr
+
+    def test_digit_separator_in_feature(self, cli, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_csv(path, ["t", "a"], [[1.0, 2.0], [2.0, "3_5"], [3.0, 4.0]])
+        result = cli("explain", str(path), "--target", "t")
+        assert result.code == 2
+        assert "line 3, column 'a'" in result.stderr
 
     def test_stumps_target_r2(self, cli, explain_csv):
         result = cli(
@@ -565,3 +593,124 @@ class TestErrorPaths:
             cli("simulate", "--config", str(config), "--n-samples", "40",
                 "--out", str(tmp_path / "g.csv"))
         )
+
+
+def _scanned(names, header, rows):
+    """The per-cell scan of the named columns, as ``_parse_columns`` returns them."""
+    return np.array(
+        [cli_module._parse_column(name, header.index(name), rows, "t.csv") for name in names]
+    )
+
+
+def _parsed_in_bulk(names, header, rows):
+    """``_parse_columns`` with the per-cell scan disabled: the bulk parse."""
+    with mock.patch.object(cli_module, "_parse_column", side_effect=AssertionError):
+        return cli_module._parse_columns(names, header, rows, "t.csv")
+
+
+class TestBulkCsvParse:
+    def test_golden_file_matches_scan(self):
+        header, rows = cli_module._read_table(str(DATA_DIR / "golden_6row.csv"))
+        names = ["y", "yhat", "phi_b", "phi_a"]
+        assert _parsed_in_bulk(names, header, rows).tobytes() == _scanned(names, header, rows).tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=1,
+            max_size=6,
+        ),
+        style=st.sampled_from(["{:.17g}", " {:.17g} ", "{:+.17g}", "{:.16e}"]),
+    )
+    def test_17_digit_floats_match_scan(self, values, style):
+        header = ["y", "phi_a", "yhat"]
+        rows = [[style.format(v) for v in row] for row in values]
+        names = ["y", "yhat", "phi_a"]
+        bulk = _parsed_in_bulk(names, header, rows)
+        assert bulk.tobytes() == _scanned(names, header, rows).tobytes()
+        assert bulk.tobytes() == np.array(values)[:, [0, 2, 1]].T.tobytes()
+
+
+_STUMP_DOC = {
+    "type": "stump_ensemble",
+    "init_value": 1.0,
+    "learning_rate": 0.5,
+    "n_features": 2,
+    "stumps": [{"feature_index": 1, "threshold": 0.0, "left_value": -1.0, "right_value": 1}],
+}
+
+
+_MISSING = object()
+
+
+def _edited(changes, stump_changes=None):
+    """``_STUMP_DOC`` with keys set, or deleted where the value is ``_MISSING``,
+    at the top level and in its one stump record."""
+    doc = json.loads(json.dumps(_STUMP_DOC))
+    for record, edits in ((doc, changes), (doc["stumps"][0], stump_changes or {})):
+        for key, value in edits.items():
+            if value is _MISSING:
+                del record[key]
+            else:
+                record[key] = value
+    return doc
+
+
+class TestModelDocument:
+    def test_roundtrip(self):
+        stumps = StumpEnsemble(1.0, (Stump(1, 0.0, -1.0, 1.0),), 0.5, 2)
+        linear = LinearModel(0.5, np.array([1.0, -2.0]))
+        assert cli_module.model_from_document(_STUMP_DOC) == stumps
+        doc = json.loads(cli_module.dumps(cli_module._model_document(linear)))
+        rebuilt = cli_module.model_from_document(doc)
+        assert rebuilt.intercept == 0.5 and rebuilt.coefficients.tolist() == [1.0, -2.0]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"type": "tree"},
+            _edited({"init_value": _MISSING}),
+            _edited({"learning_rate": _MISSING}),
+            _edited({"n_features": _MISSING}),
+            _edited({"stumps": _MISSING}),
+            _edited({}, {"feature_index": _MISSING}),
+            _edited({}, {"threshold": _MISSING}),
+            _edited({}, {"right_value": _MISSING}),
+            _edited({"init_value": "1.0"}),
+            _edited({"learning_rate": None}),
+            _edited({"n_features": 2.0}),
+            _edited({"n_features": True}),
+            _edited({"stumps": {"feature_index": 0}}),
+            _edited({"stumps": [[0, 0.0, 1.0, 2.0]]}),
+            _edited({}, {"feature_index": 0.5}),
+            _edited({}, {"left_value": [1.0]}),
+            _edited({}, {"threshold": 10**400}),
+            {"type": "linear", "coefficients": [1.0]},
+            {"type": "linear", "intercept": 0.0, "coefficients": 1.0},
+            {"type": "linear", "intercept": 0.0, "coefficients": ["1.0"]},
+        ],
+        ids=["not-object", "unknown-type", "no-init", "no-rate", "no-width", "no-stumps",
+             "no-index", "no-threshold", "no-right", "init-string", "rate-null",
+             "width-float", "width-bool", "stumps-object", "stump-list", "index-float",
+             "left-list", "threshold-huge", "linear-no-intercept", "linear-scalar",
+             "linear-string-coefficient"],
+    )
+    def test_malformed_document(self, doc):
+        with pytest.raises(ValidationError):
+            cli_module.model_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            (_edited({}, {"feature_index": 2}), ShapeError),
+            (_edited({"n_features": 0, "stumps": []}), ShapeError),
+            (_edited({"learning_rate": 0}), InvalidValue),
+            (_edited({}, {"threshold": float("inf")}), InvalidValue),
+        ],
+        ids=["index-out-of-range", "no-features", "rate-zero", "threshold-inf"],
+    )
+    def test_invalid_parameters(self, doc, error):
+        with pytest.raises(error):
+            cli_module.model_from_document(doc)

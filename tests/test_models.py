@@ -1,8 +1,14 @@
 """Model zoo tests: OLS against a normal-equations oracle, boosted stumps
-against an independently coded reference loop."""
+against an independently coded reference loop, and the compiled stump
+predictor against a per-stump sum."""
+
+import math
 
 import numpy as np
 import pytest
+from conftest import stump_cases
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shapr2 import (
     Dataset,
@@ -16,9 +22,11 @@ from shapr2 import (
 from shapr2.errors import (
     InvalidValue,
     NoValidSplit,
+    ShapeError,
     SingularDesign,
     TargetUnreachable,
 )
+from shapr2.models import Stump
 
 
 def make_regression(seed=0, n=40, f=4, noise=0.5):
@@ -192,6 +200,85 @@ class TestStumpEnsemble:
             fit_stump_ensemble(ds, iterations=0)
         with pytest.raises(InvalidValue):
             fit_stump_ensemble(ds, iterations=5, learning_rate=1.5)
+
+
+def per_stump_predict(model, x):
+    """Reference predictor: each row summed stump by stump, in Python."""
+    out = []
+    for row in np.asarray(x, dtype=float):
+        total = model.init_value
+        for s in model.stumps:
+            leaf = s.left_value if row[s.feature_index] <= s.threshold else s.right_value
+            total += model.learning_rate * leaf
+        out.append(total)
+    return np.array(out)
+
+
+# feature 0 repeats the threshold 0.5, feature 1 has no stump
+_REPEATED = StumpEnsemble(
+    init_value=1.5,
+    stumps=(
+        Stump(0, 0.5, 1.0, -2.0),
+        Stump(2, 0.0, -1.0, 1.0),
+        Stump(0, 0.5, 0.25, 3.0),
+        Stump(0, -1.0, 4.0, -4.0),
+    ),
+    learning_rate=0.3,
+    n_features=3,
+)
+
+
+class TestCompiledStumpPredictor:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=stump_cases(extra=st.sampled_from([math.nan, math.inf, -math.inf])))
+    @example(case=(_REPEATED, np.array([[0.5, 7.0, 0.0], [-1.0, 0.0, -0.0], [0.50000001, 0.0, 1e-300]])))
+    @example(case=(_REPEATED, np.array([[math.nan, math.nan, math.nan]])))
+    @example(case=(StumpEnsemble(2.0, (), 0.1, 2), np.array([[0.0, 1.0]])))
+    def test_matches_per_stump_sum(self, case):
+        model, x = case
+        scale = abs(model.init_value) + model.learning_rate * sum(
+            max(abs(s.left_value), abs(s.right_value)) for s in model.stumps
+        )
+        batch = model.predict_batch(x)
+        assert np.all(np.abs(batch - per_stump_predict(model, x)) <= 1e-12 * scale)
+        for row in x:
+            assert model.predict(row) == model.predict_batch(row[None])[0]
+
+    def test_tables_are_not_fields(self):
+        twin = StumpEnsemble(1.5, _REPEATED.stumps, 0.3, 3)
+        assert twin == _REPEATED and hash(twin) == hash(_REPEATED)
+        assert "_tables" not in repr(_REPEATED)
+        for _, thresholds, steps in _REPEATED._tables:
+            assert not thresholds.flags.writeable and not steps.flags.writeable
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"n_features": 0, "stumps": ()}, ShapeError),
+            ({"stumps": (Stump(2, 0.0, 1.0, 2.0),)}, ShapeError),
+            ({"stumps": (Stump(-1, 0.0, 1.0, 2.0),)}, ShapeError),
+            ({"init_value": math.nan}, InvalidValue),
+            ({"init_value": math.inf}, InvalidValue),
+            ({"stumps": (Stump(0, math.inf, 1.0, 2.0),)}, InvalidValue),
+            ({"stumps": (Stump(0, 0.0, math.nan, 2.0),)}, InvalidValue),
+            ({"stumps": (Stump(1, 0.0, 1.0, -math.inf),)}, InvalidValue),
+            ({"learning_rate": 0.0}, InvalidValue),
+            ({"learning_rate": 1.5}, InvalidValue),
+            ({"learning_rate": math.nan}, InvalidValue),
+        ],
+        ids=["no-features", "index-too-large", "index-negative", "init-nan", "init-inf",
+             "threshold-inf", "left-nan", "right-inf", "rate-zero", "rate-above-one", "rate-nan"],
+    )
+    def test_rejects_invalid_parameters(self, kwargs, error):
+        valid = {
+            "init_value": 0.5,
+            "stumps": (Stump(0, 0.0, 1.0, 2.0),),
+            "learning_rate": 1.0,
+            "n_features": 2,
+        }
+        with pytest.raises(error):
+            StumpEnsemble(**{**valid, **kwargs})
+        StumpEnsemble(**valid)
 
 
 class TestTuneIterations:

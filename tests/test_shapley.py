@@ -11,11 +11,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import shapr2.shapley
+from conftest import stump_cases
 from shapr2 import (
     BackgroundSet,
     Dataset,
@@ -26,6 +27,7 @@ from shapr2 import (
     sampled_shapley,
 )
 from shapr2.errors import FeatureCountExceeded, InvalidValue, ShapeError
+from shapr2.models import Stump, StumpEnsemble
 
 
 def oracle_value(predictor, x, subset, bg_rows):
@@ -534,3 +536,42 @@ class TestProperties:
         recon = result.phi0 + result.phi.sum(axis=1)
         scale = np.maximum(np.abs(expected), 1.0)
         assert np.max(np.abs(recon - expected) / scale) <= 1e-12
+
+    @_PROPERTY_SETTINGS
+    @given(case=stump_cases(n_inputs=2))
+    @example(
+        case=(
+            # feature 0 repeats a threshold, feature 1 has no stump
+            StumpEnsemble(
+                0.5,
+                (Stump(0, 0.0, 1.0, -1.0), Stump(2, 1.0, -3.0, 3.0), Stump(0, 0.0, 2.0, 0.5)),
+                0.2,
+                3,
+            ),
+            np.array([[0.0, 1.0, 1.0], [-1.0, 2.0, 2.0]]),
+            np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 1.5], [2.0, 3.0, -2.0]]),
+        )
+    )
+    def test_exact_matches_additive_closed_form_on_stumps(self, case):
+        # a stump ensemble is additive, f(x) = init + sum_j g_j(x_j), so its
+        # interventional Shapley values have the closed form
+        # phi_ij = g_j(x_ij) - mean_b g_j(bg_bj), phi0 = init + sum_j mean_b g_j(bg_bj)
+        model, x, bg = case
+
+        def g(j, values):
+            out = np.zeros(len(values))
+            for s in model.stumps:
+                if s.feature_index == j:
+                    out += model.learning_rate * np.where(
+                        values <= s.threshold, s.left_value, s.right_value
+                    )
+            return out
+
+        centres = np.array([g(j, bg[:, j]).mean() for j in range(x.shape[1])])
+        expected = np.column_stack([g(j, x[:, j]) for j in range(x.shape[1])]) - centres
+        result = exact_shapley(model, Dataset(x=x), BackgroundSet(bg))
+        assert np.max(np.abs(result.phi - expected)) <= 1e-9
+        assert abs(result.phi0 - (model.init_value + centres.sum())) <= 1e-9
+        used = {s.feature_index for s in model.stumps}
+        for j in set(range(x.shape[1])) - used:
+            assert np.all(result.phi[:, j] == 0.0)
