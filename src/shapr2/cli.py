@@ -35,48 +35,14 @@ import tempfile
 
 import numpy as np
 
-from .data import Dataset
-from .errors import (
-    DegenerateInput,
-    FeatureCountExceeded,
-    InvalidMatrix,
-    InvalidValue,
-    ModelExplainsNothing,
-    NonPositiveDefinite,
-    NoValidSplit,
-    ShapeError,
-    SingularDesign,
-    TargetUnreachable,
-    ValidationError,
-)
+from .data import Dataset, has_json_type
+from .errors import FeatureCountExceeded, Shapr2Error, SingularDesign, ValidationError
 from .metrics import ShapleyMatrix, decompose
-from .models import (
-    LinearModel,
-    Stump,
-    StumpEnsemble,
-    fit_ols,
-    fit_stump_ensemble,
-    tune_iterations,
-)
+from .models import fit_ols, fit_stump_ensemble, tune_iterations
+from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
 from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
 from .simulation import GridSpec, derive_seed, run_grid
-
-_VALIDATION_ERRORS = (
-    ValidationError,
-    DegenerateInput,
-    InvalidValue,
-    ShapeError,
-    InvalidMatrix,
-)
-_NUMERICAL_ERRORS = (
-    SingularDesign,
-    FeatureCountExceeded,
-    ModelExplainsNothing,
-    NoValidSplit,
-    NonPositiveDefinite,
-    TargetUnreachable,
-)
 
 #: Relative additivity gap beyond which an ingested phi0 triggers a warning.
 INGEST_ADDITIVITY_RTOL = 1e-6
@@ -313,82 +279,6 @@ def _write_csv(path: str, header: list[str], rows: list[tuple], outputs: _Output
     outputs.stage(path, "\n".join(lines) + "\n")
 
 
-def _model_document(model) -> dict:
-    if isinstance(model, LinearModel):
-        return {
-            "type": "linear",
-            "intercept": model.intercept,
-            "coefficients": [float(c) for c in model.coefficients],
-        }
-    if isinstance(model, StumpEnsemble):
-        return {
-            "type": "stump_ensemble",
-            "init_value": model.init_value,
-            "learning_rate": model.learning_rate,
-            "n_features": model.n_features,
-            "stumps": [
-                {
-                    "feature_index": s.feature_index,
-                    "threshold": s.threshold,
-                    "left_value": s.left_value,
-                    "right_value": s.right_value,
-                }
-                for s in model.stumps
-            ],
-        }
-    raise InvalidValue(f"cannot serialize model of type {type(model).__name__}")
-
-
-def _document_value(record, key: str, types=(int, float), expected: str = "a number"):
-    """``record[key]``, which must have one of the JSON ``types``."""
-    if not isinstance(record, dict):
-        raise ValidationError(f"model document: expected an object, got {record!r}")
-    if key not in record:
-        raise ValidationError(f"model document: missing key {key!r}")
-    value = record[key]
-    if not _has_type(value, types):
-        raise ValidationError(f"model document: {key} must be {expected}, got {value!r}")
-    return value
-
-
-def model_from_document(doc: dict):
-    """Rebuild a fitted model from its JSON document. A document that is not
-    an object, lacks a key or holds a value of the wrong JSON type raises
-    ValidationError."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model document: expected an object, got {doc!r}")
-    kind = doc.get("type")
-    try:
-        if kind == "linear":
-            coefficients = _document_value(doc, "coefficients", list, "a list of numbers")
-            if not all(_has_type(c, (int, float)) for c in coefficients):
-                raise ValidationError(
-                    f"model document: coefficients must be a list of numbers, got {coefficients!r}"
-                )
-            return LinearModel(
-                intercept=float(_document_value(doc, "intercept")),
-                coefficients=np.array(coefficients, dtype=float),
-            )
-        if kind == "stump_ensemble":
-            return StumpEnsemble(
-                init_value=float(_document_value(doc, "init_value")),
-                stumps=tuple(
-                    Stump(
-                        feature_index=_document_value(s, "feature_index", int, "an integer"),
-                        threshold=float(_document_value(s, "threshold")),
-                        left_value=float(_document_value(s, "left_value")),
-                        right_value=float(_document_value(s, "right_value")),
-                    )
-                    for s in _document_value(doc, "stumps", list, "a list")
-                ),
-                learning_rate=float(_document_value(doc, "learning_rate")),
-                n_features=_document_value(doc, "n_features", int, "an integer"),
-            )
-    except OverflowError:
-        raise ValidationError("model document: a number is out of float range") from None
-    raise ValidationError(f"unknown model document type {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -422,22 +312,17 @@ def cmd_decompose(args) -> int:
 
 
 def _fit_explain_model(args, dataset: Dataset):
-    tuned_iterations = None
     if args.model == "ols":
         if args.target_r2 is not None:
             raise ValidationError("--target-r2 requires --model stumps")
-        model = fit_ols(dataset)
-    elif args.target_r2 is not None:
-        model, _, tuned_iterations = tune_iterations(
-            dataset,
-            target_r2=args.target_r2,
-            learning_rate=args.learning_rate,
-        )
-    else:
-        model = fit_stump_ensemble(
-            dataset, iterations=args.iterations, learning_rate=args.learning_rate
-        )
-    return model, tuned_iterations
+        return fit_ols(dataset)
+    if args.target_r2 is not None:
+        return tune_iterations(
+            dataset, target_r2=args.target_r2, learning_rate=args.learning_rate
+        )[0]
+    return fit_stump_ensemble(
+        dataset, iterations=args.iterations, learning_rate=args.learning_rate
+    )
 
 
 def _explain_attributions(args, dataset: Dataset, model) -> ShapleyMatrix:
@@ -474,7 +359,7 @@ def cmd_explain(args) -> int:
         raise ValidationError("--background-subsample must be >= 1")
     dataset = _load_explain_input(args.csv, args.target)
     try:
-        model, tuned_iterations = _fit_explain_model(args, dataset)
+        model = _fit_explain_model(args, dataset)
     except SingularDesign as exc:
         raise SingularDesign(
             f"{exc} (hint: drop duplicated or linearly dependent feature columns)"
@@ -487,11 +372,7 @@ def cmd_explain(args) -> int:
         "target": args.target,
         "model": args.model,
         "learning_rate": args.learning_rate if args.model == "stumps" else None,
-        "iterations": (
-            tuned_iterations
-            if tuned_iterations is not None
-            else (args.iterations if args.model == "stumps" else None)
-        ),
+        "iterations": len(model.stumps) if args.model == "stumps" else None,
         "target_r2": args.target_r2,
         "sampled": args.sampled,
         "permutations": args.permutations if args.sampled else None,
@@ -552,17 +433,12 @@ def _read_config(path: str) -> dict:
     if unknown:
         raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
     for key, (types, expected) in _CONFIG_SCALARS.items():
-        if key in settings and not _has_type(settings[key], types):
+        if key in settings and not has_json_type(settings[key], types):
             raise ValidationError(f"{path}: {key} must be {expected}, got {settings[key]!r}")
     rhos = settings.get("rho_values", [])
-    if not (isinstance(rhos, list) and all(_has_type(v, (int, float)) for v in rhos)):
+    if not (isinstance(rhos, list) and all(has_json_type(v, (int, float)) for v in rhos)):
         raise ValidationError(f"{path}: rho_values must be a list of numbers, got {rhos!r}")
     return settings
-
-
-def _has_type(value, types) -> bool:
-    """JSON type check in which a boolean is not a number."""
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -573,23 +449,14 @@ def _grid_from_args(args) -> GridSpec:
             settings["rho_values"] = [float(v) for v in args.rhos.split(",") if v.strip()]
         except ValueError:
             raise ValidationError(f"--rhos: not a comma-separated float list: {args.rhos!r}") from None
-    if args.n_samples is not None:
-        settings["n_samples"] = args.n_samples
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.noise_sd is not None:
-        settings["noise_sd"] = args.noise_sd
-    if args.estimator is not None:
-        settings["estimator"] = args.estimator
-    if args.permutations is not None:
-        settings["permutations"] = args.permutations
-    if args.background_subsample is not None:
-        settings["background_subsample"] = args.background_subsample
+    for key in _CONFIG_SCALARS:  # each has a flag of the same name
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
 
     configs = settings.get("coefficient_configs")
     if configs is not None:
         try:
-            parsed = tuple(
+            settings["coefficient_configs"] = tuple(
                 (str(c["id"]), tuple(float(v) for v in c["coefficients"]))
                 for c in configs
             )
@@ -598,19 +465,6 @@ def _grid_from_args(args) -> GridSpec:
                 "coefficient_configs must be a list of "
                 '{"id": ..., "coefficients": [...]} records'
             ) from None
-        if not parsed:
-            raise ValidationError("coefficient_configs is empty")
-        widths = {len(c) for _, c in parsed}
-        if len(widths) != 1:
-            raise ValidationError("coefficient_configs have inconsistent lengths")
-        settings["coefficient_configs"] = parsed
-        settings["feature_count"] = widths.pop()
-
-    if "rho_values" in settings:
-        settings["rho_values"] = tuple(float(v) for v in settings["rho_values"])
-        for rho in settings["rho_values"]:
-            if not -1.0 <= rho <= 1.0:
-                raise ValidationError(f"rho {rho} is outside [-1, 1]")
     return GridSpec(**settings)
 
 
@@ -728,30 +582,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    if getattr(args, "seed", 0) is not None and getattr(args, "seed", 0) < 0:
-        print("error: --seed must be a non-negative integer", file=sys.stderr)
-        return 2
-    handlers = {
-        "decompose": cmd_decompose,
-        "explain": cmd_explain,
-        "simulate": cmd_simulate,
-    }
+    handlers = {"decompose": cmd_decompose, "explain": cmd_explain, "simulate": cmd_simulate}
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError("--threads must be >= 1")
+        if (getattr(args, "seed", 0) or 0) < 0:
+            raise ValidationError("--seed must be a non-negative integer")
         return handlers[args.command](args)
-    except _VALIDATION_ERRORS as exc:
+    except Shapr2Error as exc:
+        # the whole exit-code rule: input errors subclass ValueError and exit
+        # 2; every other error is a numerical failure and exits 3
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ import numpy as np
 from .errors import InvalidValue, ShapeError
 
 
+def has_json_type(value, types) -> bool:
+    """JSON type check in which a boolean is not a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def as_float_matrix(values, name: str) -> np.ndarray:
     """Validate and return a read-only 2-D float array with finite entries."""
     arr = np.asarray(values, dtype=float)

@@ -1,8 +1,10 @@
 """Semantic exception hierarchy.
 
-Input/validation problems subclass ValueError so they also behave like the
-stdlib convention; numerical-failure classes deliberately do not, because the
-CLI maps the two groups to different exit codes (2 vs 3).
+Input/validation problems subclass ValueError, as the stdlib convention has
+it; numerical-failure classes deliberately do not. That split is the CLI's
+whole exit-code rule: a ``Shapr2Error`` that is a ``ValueError`` exits 2, any
+other ``Shapr2Error`` exits 3, so a new error class picks its exit code by
+its bases alone.
 """
 
 

@@ -63,15 +63,19 @@ def classical_r2(y, yhat) -> float:
     return float(np.var(ph, ddof=1)) / var_y
 
 
-def baseline_r2(y, yhat) -> float:
-    """Bounded model fit: var(yhat) / (var(yhat) + var(y - yhat)), in [0, 1]."""
-    yv, ph = _paired(y, yhat)
+def _bounded_fit(yv: np.ndarray, ph: np.ndarray) -> tuple[float, float]:
+    """``(baseline_r2, var_res)`` of vectors already checked by ``_paired``."""
     var_hat = float(np.var(ph, ddof=1))
     var_res = float(np.var(yv - ph, ddof=1))
     total = var_hat + var_res
     if total == 0.0:
         raise DegenerateInput("constant outcome perfectly predicted; fit undefined")
-    return var_hat / total
+    return var_hat / total, var_res
+
+
+def baseline_r2(y, yhat) -> float:
+    """Bounded model fit: var(yhat) / (var(yhat) + var(y - yhat)), in [0, 1]."""
+    return _bounded_fit(*_paired(y, yhat))[0]
 
 
 @dataclass(frozen=True)
@@ -188,6 +192,14 @@ def _ranking(feature_r2: np.ndarray) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _checked_inputs(y, yhat, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    yv, ph = _paired(y, yhat)
+    mat = _phi_array(phi)
+    if mat.shape[0] != yv.shape[0]:
+        raise ShapeError("phi rows do not match observation count")
+    return yv, ph, mat
+
+
 def _modified_residual_variances(yv: np.ndarray, ph: np.ndarray, mat: np.ndarray) -> np.ndarray:
     # Column-by-column, through the same 1-D code path as the baseline
     # residual variance: an all-zero attribution column then reproduces the
@@ -213,18 +225,21 @@ def unique_variance_ratio(y, yhat, phi, *, eq7_as_printed: bool = False):
     modified-residual variances (no subtraction). That form does not equal 1
     for uncorrelated features and is exposed only for comparison.
     """
-    yv, ph = _paired(y, yhat)
-    mat = _phi_array(phi)
-    if mat.shape[0] != yv.shape[0]:
-        raise ShapeError("phi rows do not match observation count")
+    yv, ph, mat = _checked_inputs(y, yhat, phi)
     var_res = float(np.var(yv - ph, ddof=1))
-    denom = float(np.var(yv, ddof=1)) - var_res
+    per_feature = _modified_residual_variances(yv, ph, mat)
+    return _unique_ratio(float(np.var(yv, ddof=1)), var_res, per_feature, eq7_as_printed)
+
+
+def _unique_ratio(var_y: float, var_res: float, per_feature: np.ndarray, eq7_as_printed: bool):
+    """:func:`unique_variance_ratio` from the outcome, residual and
+    modified-residual variances."""
+    denom = var_y - var_res
     if denom <= 0.0:
         raise ModelExplainsNothing(
             "residual variance is not below outcome variance; "
             "the unique-variance ratio is undefined"
         )
-    per_feature = _modified_residual_variances(yv, ph, mat)
     if eq7_as_printed:
         numerator = float(per_feature.sum())
     else:
@@ -247,11 +262,9 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
     variance), the result is the distinct all-null outcome: zero shares
     alongside the baseline value, rather than a division by zero.
     """
-    yv, ph = _paired(y, yhat)
-    mat = _phi_array(phi)
-    if mat.shape[0] != yv.shape[0]:
-        raise ShapeError("phi rows do not match observation count")
-    if float(np.var(yv, ddof=1)) == 0.0:
+    yv, ph, mat = _checked_inputs(y, yhat, phi)
+    var_y = float(np.var(yv, ddof=1))
+    if var_y == 0.0:
         raise DegenerateInput("outcome has zero variance")
     names = (
         phi.feature_names
@@ -259,8 +272,7 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
         else tuple(f"x{i + 1}" for i in range(mat.shape[1]))
     )
 
-    r2b = baseline_r2(yv, ph)
-    var_res = float(np.var(yv - ph, ddof=1))
+    r2b, var_res = _bounded_fit(yv, ph)
     per_feature_var = _modified_residual_variances(yv, ph, mat)
 
     n_features = mat.shape[1]
@@ -292,9 +304,7 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
             "feature-level shares are all zero"
         )
         try:
-            sigma_raw, sigma = unique_variance_ratio(
-                yv, ph, mat, eq7_as_printed=eq7_as_printed
-            )
+            sigma_raw, sigma = _unique_ratio(var_y, var_res, per_feature_var, eq7_as_printed)
         except ModelExplainsNothing:
             sigma_raw = sigma = None
             warnings.append(
@@ -304,9 +314,7 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
         shares = weights / weight_sum
         feature_r2 = shares * r2b
         null = False
-        sigma_raw, sigma = unique_variance_ratio(
-            yv, ph, mat, eq7_as_printed=eq7_as_printed
-        )
+        sigma_raw, sigma = _unique_ratio(var_y, var_res, per_feature_var, eq7_as_printed)
 
     return R2Decomposition(
         baseline_r2=r2b,

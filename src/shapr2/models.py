@@ -3,7 +3,8 @@
 Just enough model zoo for the full fit / explain / decompose pipeline to run
 without external ML dependencies, including the underfit-to-overfit sweep
 (boosted stumps tuned to a requested training fit). Fitted models are
-immutable and safe for concurrent prediction.
+immutable and safe for concurrent prediction, and round-trip through a JSON
+document (:func:`model_document`, :func:`model_from_document`).
 
 A stump ensemble is compiled once, on construction, into one step table per
 feature: the feature's sorted thresholds and the summed contribution of all
@@ -20,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, has_json_type
 from .errors import (
     InvalidValue,
     NoValidSplit,
     ShapeError,
     SingularDesign,
     TargetUnreachable,
+    ValidationError,
 )
 from .metrics import baseline_r2
 
@@ -134,6 +136,83 @@ class StumpEnsemble:
         for f, thresholds, steps in self._tables:
             out += steps[np.searchsorted(thresholds, x[:, f])]
         return out
+
+
+def model_document(model) -> dict:
+    """The JSON document of a fitted model: its type and its fields."""
+    if isinstance(model, LinearModel):
+        return {
+            "type": "linear",
+            "intercept": model.intercept,
+            "coefficients": [float(c) for c in model.coefficients],
+        }
+    if isinstance(model, StumpEnsemble):
+        return {
+            "type": "stump_ensemble",
+            "init_value": model.init_value,
+            "learning_rate": model.learning_rate,
+            "n_features": model.n_features,
+            "stumps": [
+                {
+                    "feature_index": s.feature_index,
+                    "threshold": s.threshold,
+                    "left_value": s.left_value,
+                    "right_value": s.right_value,
+                }
+                for s in model.stumps
+            ],
+        }
+    raise InvalidValue(f"cannot serialize model of type {type(model).__name__}")
+
+
+def _document_value(record, key: str, types=(int, float), expected: str = "a number"):
+    """``record[key]``, which must have one of the JSON ``types``."""
+    if not isinstance(record, dict):
+        raise ValidationError(f"model document: expected an object, got {record!r}")
+    if key not in record:
+        raise ValidationError(f"model document: missing key {key!r}")
+    value = record[key]
+    if not has_json_type(value, types):
+        raise ValidationError(f"model document: {key} must be {expected}, got {value!r}")
+    return value
+
+
+def model_from_document(doc: dict):
+    """Rebuild a fitted model from its JSON document. A document that is not
+    an object, lacks a key or holds a value of the wrong JSON type raises
+    ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model document: expected an object, got {doc!r}")
+    kind = doc.get("type")
+    try:
+        if kind == "linear":
+            coefficients = _document_value(doc, "coefficients", list, "a list of numbers")
+            if not all(has_json_type(c, (int, float)) for c in coefficients):
+                raise ValidationError(
+                    f"model document: coefficients must be a list of numbers, got {coefficients!r}"
+                )
+            return LinearModel(
+                intercept=float(_document_value(doc, "intercept")),
+                coefficients=np.array(coefficients, dtype=float),
+            )
+        if kind == "stump_ensemble":
+            return StumpEnsemble(
+                init_value=float(_document_value(doc, "init_value")),
+                stumps=tuple(
+                    Stump(
+                        feature_index=_document_value(s, "feature_index", int, "an integer"),
+                        threshold=float(_document_value(s, "threshold")),
+                        left_value=float(_document_value(s, "left_value")),
+                        right_value=float(_document_value(s, "right_value")),
+                    )
+                    for s in _document_value(doc, "stumps", list, "a list")
+                ),
+                learning_rate=float(_document_value(doc, "learning_rate")),
+                n_features=_document_value(doc, "n_features", int, "an integer"),
+            )
+    except OverflowError:
+        raise ValidationError("model document: a number is out of float range") from None
+    raise ValidationError(f"unknown model document type {kind!r}")
 
 
 def fit_ols(dataset: Dataset) -> LinearModel:

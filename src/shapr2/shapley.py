@@ -96,13 +96,6 @@ def _predict_batch(predictor: Predictor, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _predict_one(predictor: Predictor, row: np.ndarray) -> float:
-    value = float(predictor.predict(row))
-    if not math.isfinite(value):
-        raise InvalidValue("predictor returned a non-finite value")
-    return value
-
-
 def _check_dims(predictor: Predictor, x: np.ndarray, background: BackgroundSet) -> None:
     if x.shape[1] != predictor.feature_count:
         raise ShapeError(
@@ -120,7 +113,7 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
 
     Mean prediction over the background rows with the coalition's columns
     replaced by the instance's values. The empty coalition is the mean
-    background prediction; the full coalition is exactly ``predict(x)``.
+    background prediction; the full coalition is the prediction for ``x``.
     """
     row = np.asarray(x, dtype=float)
     if row.shape != (background.n_features,):
@@ -129,7 +122,7 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
     if idx and not (0 <= idx[0] and idx[-1] < row.shape[0]):
         raise ShapeError("coalition contains out-of-range feature indices")
     if len(idx) == row.shape[0]:
-        return _predict_one(predictor, row)
+        return float(_predict_batch(predictor, row[None])[0])
     bits = np.zeros((1, row.shape[0]), dtype=bool)
     bits[0, idx] = True
     return float(_coalition_values(predictor, row, bits, background.rows)[0])
@@ -293,7 +286,7 @@ def sampled_shapley(
         path = np.empty((n_perms, n_features + 1))
         path[:, 0] = base_value
         path[:, 1:-1] = chain.reshape(n_perms, n_prefix)
-        path[:, -1] = _predict_one(predictor, row)
+        path[:, -1] = _predict_batch(predictor, row[None])[0]
         # np.add.at adds unbuffered in C order: the same additions, in the same
         # order, as walking each permutation position by position
         contrib = np.zeros(n_features)

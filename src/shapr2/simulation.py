@@ -13,6 +13,7 @@ rho > -1/2.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,30 +44,44 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_cell_values(rho: float, coefficients, noise_sd: float | None) -> None:
+    """The rules on a cell's correlation, coefficients and noise, shared by
+    :class:`UniformCorrelationSpec` and :class:`GridSpec`."""
+    if not -1.0 <= rho <= 1.0:
+        raise InvalidValue(f"rho {rho} is outside [-1, 1]")
+    if not coefficients:
+        raise InvalidValue("coefficients is empty")
+    if not all(math.isfinite(c) for c in coefficients):
+        raise InvalidValue(f"coefficients must be finite, got {list(coefficients)}")
+    if noise_sd is not None and not math.isfinite(noise_sd):
+        raise InvalidValue(f"noise_sd must be finite, got {noise_sd}")
+    if noise_sd is not None and noise_sd < 0:
+        raise InvalidValue("noise_sd must be >= 0")
+
+
 @dataclass(frozen=True)
 class UniformCorrelationSpec:
-    """One simulation cell: F standard-normal features with common
-    off-diagonal correlation ``rho``, linear outcome, Gaussian noise."""
+    """One simulation cell: ``len(coefficients)`` standard-normal features
+    with common off-diagonal correlation ``rho``, linear outcome, Gaussian
+    noise."""
 
     rho: float
     n_samples: int
     coefficients: tuple[float, ...]
     noise_sd: float
     seed: int
-    feature_count: int = 3
 
     def __post_init__(self):
-        if len(self.coefficients) != self.feature_count:
-            raise InvalidValue("coefficient length must equal feature_count")
-        if not -1.0 <= self.rho <= 1.0:
-            raise InvalidValue(f"rho must be in [-1, 1], got {self.rho}")
+        _check_cell_values(self.rho, self.coefficients, self.noise_sd)
         if self.n_samples < 2:
             raise InvalidValue("n_samples must be >= 2")
-        if self.noise_sd < 0:
-            raise InvalidValue("noise_sd must be >= 0")
         if not 0 <= int(self.seed) < _SEED_MAX:
             raise InvalidValue("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+
+    @property
+    def feature_count(self) -> int:
+        return len(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -88,15 +103,23 @@ class GridSpec:
     estimator: str = "linear"  # "linear" | "sampled"
     permutations: int = 200
     background_subsample: int | None = None
-    feature_count: int = 3
 
     def __post_init__(self):
+        """Every cell's values obey the cell rules, and all coefficient
+        configs have one width, which is the grid's feature count."""
+        if not self.coefficient_configs:
+            raise InvalidValue("coefficient_configs is empty")
+        if len({len(c) for _, c in self.coefficient_configs}) != 1:
+            raise InvalidValue("coefficient_configs have inconsistent lengths")
+        rhos = tuple(float(rho) for rho in self.rho_values)
+        for rho in rhos:
+            for _, coefficients in self.coefficient_configs:
+                _check_cell_values(rho, coefficients, self.noise_sd)
+        object.__setattr__(self, "rho_values", rhos)
         if self.estimator not in ("linear", "sampled"):
             raise InvalidValue(f"unknown estimator {self.estimator!r}")
         if not self.rho_values:
             raise InvalidValue("rho_values is empty")
-        if not self.coefficient_configs:
-            raise InvalidValue("coefficient_configs is empty")
         if self.seed < 0:
             raise InvalidValue("seed must be a non-negative integer")
         # checked for every estimator, so an invalid value is never ignored
@@ -235,7 +258,6 @@ def run_grid(grid: GridSpec) -> SimulationGrid:
                 coefficients=tuple(coefficients),
                 noise_sd=noise_sd,
                 seed=derive_seed(grid.seed, r, c),
-                feature_count=grid.feature_count,
             )
             row.append(
                 run_cell(

@@ -2,6 +2,7 @@
 golden-file byte stability, and cross-run determinism."""
 
 import json
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from shapr2 import cli as cli_module
-from shapr2.errors import InvalidValue, ShapeError, ValidationError
-from shapr2.models import LinearModel, Stump, StumpEnsemble
+from shapr2.errors import InvalidValue, Shapr2Error, ShapeError, ValidationError
+from shapr2.models import LinearModel, Stump, StumpEnsemble, model_from_document
 
 GOLDEN_REPORT = DATA_DIR / "golden_report.json"
 
@@ -300,8 +301,6 @@ class TestExplain:
             str(model_path),
         )
         assert result.code == 0
-        from shapr2.cli import model_from_document
-
         doc = json.loads(model_path.read_text(encoding="utf-8"))
         model = model_from_document(doc)
         assert doc["type"] == "stump_ensemble"
@@ -584,15 +583,57 @@ class TestErrorPaths:
             '{"estimator": 3}',
             '{"rho_values": ["abc"]}',
             '{"rho_values": 0.5}',
+            '{"coefficient_configs": [{"id": "a", "coefficients": []}]}',
+            '{"coefficient_configs": [{"id": "a", "coefficients": [1e400, 1.0]}]}',
+            '{"noise_sd": 1e400}',
         ],
     )
     def test_malformed_config_values(self, cli, tmp_path, content):
         config = tmp_path / "grid.json"
         config.write_text(content, encoding="utf-8")
-        _assert_input_error(
-            cli("simulate", "--config", str(config), "--n-samples", "40",
-                "--out", str(tmp_path / "g.csv"))
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            result = cli("simulate", "--config", str(config), "--n-samples", "40",
+                         "--out", str(tmp_path / "g.csv"))
+        _assert_input_error(result)
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--noise-sd", "nan"), "noise_sd"),
+            (("--noise-sd", "inf"), "noise_sd"),
+            (("--rhos", "0.0,1.5"), "rho"),
+        ],
+        ids=["noise-nan", "noise-inf", "rho-range"],
+    )
+    def test_grid_flag_rejected_naming_field(self, cli, tmp_path, flags, field):
+        result = cli("simulate", "--rhos", "0.0", "--n-samples", "40", *flags,
+                     "--out", str(tmp_path / "g.csv"))
+        _assert_input_error(result)
+        assert result.stderr.startswith(f"error: {field} ")
+        assert not (tmp_path / "g.csv").exists()
+
+
+def _error_classes(base=Shapr2Error):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+class TestExitCodes:
+    """The exit code of a failed command follows from its error class alone."""
+
+    def test_both_groups_present(self):
+        groups = {issubclass(cls, ValueError) for cls in _error_classes()}
+        assert groups == {True, False}
+
+    @pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+    def test_exit_code_from_error_class(self, cli, error):
+        with mock.patch.object(cli_module, "cmd_decompose", side_effect=error("boom")):
+            result = cli("decompose", "unused.csv")
+        assert result.code == (2 if issubclass(error, ValueError) else 3)
+        assert result.stderr == "error: boom\n"  # no traceback
+        assert result.stdout == ""
 
 
 def _scanned(names, header, rows):
@@ -661,9 +702,9 @@ class TestModelDocument:
     def test_roundtrip(self):
         stumps = StumpEnsemble(1.0, (Stump(1, 0.0, -1.0, 1.0),), 0.5, 2)
         linear = LinearModel(0.5, np.array([1.0, -2.0]))
-        assert cli_module.model_from_document(_STUMP_DOC) == stumps
+        assert model_from_document(_STUMP_DOC) == stumps
         doc = json.loads(cli_module.dumps(cli_module._model_document(linear)))
-        rebuilt = cli_module.model_from_document(doc)
+        rebuilt = model_from_document(doc)
         assert rebuilt.intercept == 0.5 and rebuilt.coefficients.tolist() == [1.0, -2.0]
 
     @pytest.mark.parametrize(
@@ -699,7 +740,7 @@ class TestModelDocument:
     )
     def test_malformed_document(self, doc):
         with pytest.raises(ValidationError):
-            cli_module.model_from_document(doc)
+            model_from_document(doc)
 
     @pytest.mark.parametrize(
         "doc, error",
@@ -713,4 +754,4 @@ class TestModelDocument:
     )
     def test_invalid_parameters(self, doc, error):
         with pytest.raises(error):
-            cli_module.model_from_document(doc)
+            model_from_document(doc)

@@ -2,9 +2,12 @@
 oracle values (two-pass / exact-fraction arithmetic, frozen before the build)
 and against the documented invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from shapr2 import metrics
 from shapr2 import (
     ShapleyMatrix,
     baseline_r2,
@@ -259,6 +262,23 @@ class TestUniqueVarianceRatio:
         yhat = -y  # anti-predictive: residual variance exceeds outcome variance
         with pytest.raises(ModelExplainsNothing):
             unique_variance_ratio(y, yhat, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("eq7_as_printed", [False, True])
+    def test_decompose_matches_standalone_ratio(self, eq7_as_printed):
+        result = decompose(GOLDEN_Y, GOLDEN_YHAT, golden_matrix(), eq7_as_printed=eq7_as_printed)
+        standalone = unique_variance_ratio(
+            GOLDEN_Y, GOLDEN_YHAT, golden_matrix(), eq7_as_printed=eq7_as_printed
+        )
+        assert (result.sigma_unique_raw, result.sigma_unique) == standalone
+
+    def test_decompose_validates_and_computes_once(self):
+        paired = mock.Mock(wraps=metrics._paired)
+        modified = mock.Mock(wraps=metrics._modified_residual_variances)
+        with mock.patch.object(metrics, "_paired", paired), \
+                mock.patch.object(metrics, "_modified_residual_variances", modified):
+            result = decompose(GOLDEN_Y, GOLDEN_YHAT, golden_matrix())
+        assert paired.call_count == 1 and modified.call_count == 1
+        assert result.sigma_unique_raw == pytest.approx(GOLDEN["sigma_raw"], abs=1e-12)
 
 
 def random_fixture(rng, n=None, f=None):

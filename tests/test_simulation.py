@@ -90,10 +90,30 @@ class TestSampleMvn:
     def test_spec_validation(self):
         with pytest.raises(InvalidValue):
             spec(1.5)
-        with pytest.raises(InvalidValue):
+        with pytest.raises(InvalidValue, match="coefficients is empty"):
             UniformCorrelationSpec(
-                rho=0.0, n_samples=10, coefficients=(1.0,), noise_sd=1.0, seed=0
+                rho=0.0, n_samples=10, coefficients=(), noise_sd=1.0, seed=0
             )
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"rho": float("nan")}, "rho"),
+            ({"coefficients": (1.0, float("inf"))}, "coefficients"),
+            ({"noise_sd": float("nan")}, "noise_sd"),
+            ({"noise_sd": float("inf")}, "noise_sd"),
+            ({"noise_sd": -1.0}, "noise_sd"),
+        ],
+        ids=["rho-nan", "coefficient-inf", "noise-nan", "noise-inf", "noise-negative"],
+    )
+    def test_spec_rejects_value_naming_field(self, changes, field):
+        values = {"rho": 0.0, "n_samples": 10, "coefficients": (1.0,), "noise_sd": 1.0, "seed": 0}
+        with pytest.raises(InvalidValue, match=f"^{field} "):
+            UniformCorrelationSpec(**{**values, **changes})
+
+    def test_feature_count_is_coefficient_count(self):
+        assert spec(0.0, coefficients=(1.0, 2.0)).feature_count == 2
+        assert sample_mvn(spec(0.0, n=10, coefficients=(1.0, 2.0, 3.0, 4.0))).shape == (10, 4)
 
 
 class TestRunCell:
@@ -151,6 +171,41 @@ class TestRunGrid:
         )
         assert cell.sigma_unique == direct.sigma_unique
         assert cell.baseline_r2 == direct.baseline_r2
+
+    def test_feature_count_from_config_width(self):
+        grid = run_grid(
+            GridSpec(coefficient_configs=(("a", (1.0, 2.0)),), rho_values=(0.0,), n_samples=50)
+        )
+        (cell,), = grid.cells
+        assert cell.status == "completed" and cell.spec.feature_count == 2
+
+    def test_feature_count_is_not_a_field(self):
+        for cls in (GridSpec, UniformCorrelationSpec):
+            assert "feature_count" not in {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"rho_values": (0.0, 1.5)}, "rho"),
+            ({"rho_values": (float("nan"),)}, "rho"),
+            ({"coefficient_configs": ()}, "coefficient_configs"),
+            ({"coefficient_configs": (("a", (1.0, 2.0)), ("b", (1.0,)))}, "coefficient_configs"),
+            ({"coefficient_configs": (("a", ()),)}, "coefficients"),
+            ({"coefficient_configs": (("a", (float("inf"), 1.0)),)}, "coefficients"),
+            ({"noise_sd": float("nan")}, "noise_sd"),
+            ({"noise_sd": float("inf")}, "noise_sd"),
+            ({"noise_sd": -0.5}, "noise_sd"),
+        ],
+        ids=["rho-range", "rho-nan", "no-configs", "ragged-widths", "empty-coefficients",
+             "coefficient-inf", "noise-nan", "noise-inf", "noise-negative"],
+    )
+    def test_grid_rejects_value_naming_field(self, changes, field):
+        with pytest.raises(InvalidValue, match=f"^{field} "):
+            GridSpec(**changes)
+
+    def test_rho_values_are_floats(self):
+        rhos = GridSpec(rho_values=[0, 1]).rho_values
+        assert rhos == (0.0, 1.0) and all(type(rho) is float for rho in rhos)
 
     def test_deterministic_across_threads(self):
         gs = GridSpec(rho_values=(0.0, 0.4), n_samples=300, seed=5)
