@@ -15,11 +15,12 @@ Contracts:
 Input schemas:
 
 * decompose CSV: header row with columns ``y``, ``yhat``, one ``phi_<name>``
-  per feature, optional constant ``phi0`` column; UTF-8 (a leading byte
-  order mark is ignored), ``.`` decimal
-  separator, no thousands separators,
+  per feature, optional constant ``phi0`` column,
 * explain CSV: header row; one numeric target column named by ``--target``;
-  every other column is a numeric feature.
+  every other column is a numeric feature,
+* both: UTF-8 (a leading byte order mark is ignored); every row has the
+  header's width, and blank lines are rejected; cells use Python ``float()``
+  syntax without ``_``, may be quoted, and must be finite.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import stat
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -100,29 +102,46 @@ def _parse_column(name: str, idx: int, rows: list[list[str]], path: str) -> np.n
     return out
 
 
-def _parse_columns(names: list[str], header: list[str], rows: list[list[str]], path: str) -> np.ndarray:
-    """The named columns as the rows of a C-contiguous float matrix, in the
-    order of ``names``.
+def _load_table(path: str) -> tuple[list[str], np.ndarray] | None:
+    """The header and the float body of a CSV file, the body parsed by numpy
+    straight from the file; None where the per-cell scan could read it
+    differently. ``loadtxt`` skips blank lines and rejects some cells that
+    ``float()`` accepts (full-width digits), so an error, a non-finite value,
+    a width other than the header's or fewer rows than body lines decline."""
+    if not os.path.isfile(path):  # a pipe can be read only once: the scan reads it
+        return None
+    try:
+        # lines after the header; universal newlines read "\r\n" and "\r" as "\n"
+        lines, last = -1, "\n"
+        with open(path, encoding="utf-8") as handle:
+            for block in iter(lambda: handle.read(1 << 20), ""):
+                lines, last = lines + block.count("\n"), block[-1:]
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header = [name.strip() for name in next(csv.reader(handle), [])]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body warns; the row count shows it
+                table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    lines += last != "\n"
+    fits = lines > 0 and table.shape == (lines, len(header)) and len(set(header)) == len(header)
+    return (header, table) if fits and np.isfinite(table).all() else None
 
-    numpy parses the whole table at once, calling ``float()`` on each cell
-    as the per-cell scan does; when it fails or yields a non-finite value,
-    the per-cell scan of the named columns, in order, finds and reports the
-    first bad cell.
-    """
-    idx = [header.index(name) for name in names]
-    if not any("_" in "".join(row) for row in rows):
-        try:
-            columns = np.array(rows, dtype=float).T[idx]
-        except ValueError:
-            pass
-        else:
-            if np.all(np.isfinite(columns)):
-                return columns
-    return np.array([_parse_column(name, i, rows, path) for name, i in zip(names, idx)])
+
+def _read_csv(path: str):
+    """The header of a CSV file, and a function that returns the named
+    columns as the rows of a C-contiguous float matrix, in the order given:
+    parsed by :func:`_load_table` or, where that declines, by the scan."""
+    loaded = _load_table(path)
+    if loaded is not None:
+        header, table = loaded
+        return header, lambda names: table.T[[header.index(name) for name in names]]
+    header, rows = _read_table(path)
+    return header, lambda names: np.array([_parse_column(n, header.index(n), rows, path) for n in names])
 
 
 def _load_decompose_input(path: str, phi0_flag: float | None):
-    header, rows = _read_table(path)
+    header, columns_of = _read_csv(path)
     for required in ("y", "yhat"):
         if required not in header:
             raise ValidationError(f"{path}: missing required column {required!r}")
@@ -135,15 +154,13 @@ def _load_decompose_input(path: str, phi0_flag: float | None):
             raise ValidationError(f"{path}: unexpected column {name!r}")
 
     phi0_column = "phi0" in header and phi0_flag is None
-    columns = _parse_columns(
-        ["y", "yhat", *phi_names, *(["phi0"] if phi0_column else [])], header, rows, path
-    )
+    columns = columns_of(["y", "yhat", *phi_names, *(["phi0"] if phi0_column else [])])
     if "phi0" in header and not phi0_column:
         raise ValidationError(f"{path}: phi0 provided both as a column and as --phi0")
     phi0 = phi0_flag
     if phi0_column:
         col = columns[-1]
-        if np.unique(col).size != 1:
+        if np.any(col != col[0]):
             raise ValidationError(f"{path}: phi0 column is not constant")
         phi0 = float(col[0])
 
@@ -157,13 +174,13 @@ def _load_decompose_input(path: str, phi0_flag: float | None):
 
 
 def _load_explain_input(path: str, target: str) -> Dataset:
-    header, rows = _read_table(path)
+    header, columns_of = _read_csv(path)
     if target not in header:
         raise ValidationError(f"{path}: missing target column {target!r}")
     feature_names = [name for name in header if name != target]
     if not feature_names:
         raise ValidationError(f"{path}: no feature columns besides the target")
-    columns = _parse_columns([target, *feature_names], header, rows, path)
+    columns = columns_of([target, *feature_names])
     return Dataset(x=columns[1:].T, y=columns[0], feature_names=tuple(feature_names))
 
 
@@ -419,6 +436,16 @@ _CONFIG_SCALARS = {
 }
 
 
+def _json_floats(value, what: str) -> tuple[float, ...]:
+    """The floats of a JSON list of numbers; a boolean is not a number."""
+    try:
+        if isinstance(value, list) and all(has_json_type(v, (int, float)) for v in value):
+            return tuple(float(v) for v in value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ValidationError(f"{what} must be a list of numbers, got {value!r}")
+
+
 def _read_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -435,9 +462,19 @@ def _read_config(path: str) -> dict:
     for key, (types, expected) in _CONFIG_SCALARS.items():
         if key in settings and not has_json_type(settings[key], types):
             raise ValidationError(f"{path}: {key} must be {expected}, got {settings[key]!r}")
-    rhos = settings.get("rho_values", [])
-    if not (isinstance(rhos, list) and all(has_json_type(v, (int, float)) for v in rhos)):
-        raise ValidationError(f"{path}: rho_values must be a list of numbers, got {rhos!r}")
+    if "rho_values" in settings:
+        settings["rho_values"] = _json_floats(settings["rho_values"], f"{path}: rho_values")
+    if "coefficient_configs" in settings:
+        try:
+            settings["coefficient_configs"] = tuple(
+                (str(c["id"]), _json_floats(c["coefficients"], f"{path}: coefficients"))
+                for c in settings["coefficient_configs"]
+            )
+        except (KeyError, TypeError):
+            raise ValidationError(
+                "coefficient_configs must be a list of "
+                '{"id": ..., "coefficients": [...]} records'
+            ) from None
     return settings
 
 
@@ -452,19 +489,6 @@ def _grid_from_args(args) -> GridSpec:
     for key in _CONFIG_SCALARS:  # each has a flag of the same name
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
-
-    configs = settings.get("coefficient_configs")
-    if configs is not None:
-        try:
-            settings["coefficient_configs"] = tuple(
-                (str(c["id"]), tuple(float(v) for v in c["coefficients"]))
-                for c in configs
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(
-                "coefficient_configs must be a list of "
-                '{"id": ..., "coefficients": [...]} records'
-            ) from None
     return GridSpec(**settings)
 
 

@@ -1,7 +1,11 @@
 """CLI contract tests: ingestion diagnostics, exit codes, report schema,
 golden-file byte stability, and cross-run determinism."""
 
+import contextlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, run_cli
 from shapr2 import cli as cli_module
 from shapr2.errors import InvalidValue, Shapr2Error, ShapeError, ValidationError
 from shapr2.models import LinearModel, Stump, StumpEnsemble, model_from_document
@@ -586,6 +590,21 @@ class TestErrorPaths:
             '{"coefficient_configs": [{"id": "a", "coefficients": []}]}',
             '{"coefficient_configs": [{"id": "a", "coefficients": [1e400, 1.0]}]}',
             '{"noise_sd": 1e400}',
+            pytest.param(
+                '{"coefficient_configs": [{"id": "a", "coefficients": "12"}], '
+                '"rho_values": [0.0], "n_samples": 30}',
+                id="coefficients-string",
+            ),
+            pytest.param(
+                '{"coefficient_configs": [{"id": "a", "coefficients": ["1", true]}], '
+                '"rho_values": [0.0], "n_samples": 30}',
+                id="coefficients-string-and-boolean",
+            ),
+            pytest.param('{"rho_values": [1' + "0" * 400 + "]}", id="rho-integer-overflows-float"),
+            pytest.param(
+                '{"coefficient_configs": [{"id": "a", "coefficients": [1' + "0" * 400 + ", 1]}]}",
+                id="coefficient-integer-overflows-float",
+            ),
         ],
     )
     def test_malformed_config_values(self, cli, tmp_path, content):
@@ -636,24 +655,102 @@ class TestExitCodes:
         assert result.stdout == ""
 
 
-def _scanned(names, header, rows):
-    """The per-cell scan of the named columns, as ``_parse_columns`` returns them."""
-    return np.array(
-        [cli_module._parse_column(name, header.index(name), rows, "t.csv") for name in names]
-    )
+def _route(fast):
+    """The default route, or with ``fast=False`` one on which ``_load_table``
+    declines every file, so the per-cell scan reads it."""
+    if fast:
+        return contextlib.nullcontext()
+    return mock.patch.object(cli_module, "_load_table", return_value=None)
 
 
-def _parsed_in_bulk(names, header, rows):
-    """``_parse_columns`` with the per-cell scan disabled: the bulk parse."""
-    with mock.patch.object(cli_module, "_parse_column", side_effect=AssertionError):
-        return cli_module._parse_columns(names, header, rows, "t.csv")
+def _read_columns(path, names=None, fast=True):
+    """The named columns (all by default) of a CSV file, as ``_read_csv``
+    returns them, or the message of the error it raises."""
+    with _route(fast):
+        try:
+            header, columns_of = cli_module._read_csv(str(path))
+            return columns_of(header if names is None else names)
+        except ValidationError as exc:
+            return str(exc)
+
+
+def _decompose(path, fast=True):
+    with _route(fast):
+        result = run_cli("decompose", str(path))
+    return result.code, result.stdout, result.stderr
+
+
+def _scan_disabled():
+    """A context in which any use of the per-cell scan fails the test."""
+    stack = contextlib.ExitStack()
+    for name in ("_read_table", "_parse_column"):
+        stack.enter_context(mock.patch.object(cli_module, name, side_effect=AssertionError))
+    return stack
+
+
+_BODY = "1,1.5,-1\n2,2.5,0\n4,3,1\n"
+
+#: Inputs on which the fast path could disagree with the scan, by name.
+_LOADER_CASES = {
+    "plain": "y,yhat,phi_a\n" + _BODY,
+    "blank-line-middle": "y,yhat,phi_a\n1,1.5,-1\n\n2,2.5,0\n4,3,1\n",
+    "blank-line-end": "y,yhat,phi_a\n" + _BODY + "\n",
+    "whitespace-line": "y,yhat,phi_a\n1,1.5,-1\n   \n2,2.5,0\n4,3,1\n",
+    "row-wider": "y,yhat,phi_a\n1,1.5,-1\n2,2.5,0,7\n4,3,1\n",
+    "row-narrower": "y,yhat,phi_a\n1,1.5,-1\n2,2.5\n4,3,1\n",
+    "all-rows-wider": "y,yhat,phi_a\n1,1.5,-1,0\n2,2.5,0,0\n4,3,1,0\n",
+    "crlf": ("y,yhat,phi_a\n" + _BODY).replace("\n", "\r\n"),
+    "cr-only": ("y,yhat,phi_a\n" + _BODY).replace("\n", "\r"),
+    "cr-then-crlf": "y,yhat,phi_a\n" + _BODY + "\r\r\n",
+    "no-final-newline": "y,yhat,phi_a\n" + _BODY.rstrip("\n"),
+    "quoted-cell": 'y,yhat,phi_a\n1,"1.5",-1\n2,2.5,0\n4,3,1\n',
+    "quoted-after-space": 'y,yhat,phi_a\n1, "1.5",-1\n2,2.5,0\n4,3,1\n',
+    "quoted-newline": 'y,yhat,phi_a\n1,"1.5\n",-1\n2,2.5,0\n4,3,1\n',
+    "hash-cell": "y,yhat,phi_a\n1,1.5,#\n2,2.5,0\n4,3,1\n",
+    "hash-after-number": "y,yhat,phi_a\n1,1.5,-1#x\n2,2.5,0\n4,3,1\n",
+    "hash-line": "y,yhat,phi_a\n1,1.5,-1\n#x\n2,2.5,0\n4,3,1\n",
+    "trailing-comma": "y,yhat,phi_a\n1,1.5,-1,\n2,2.5,0,\n4,3,1,\n",
+    "fullwidth-digit": "y,yhat,phi_a\n１,1.5,-1\n2,2.5,0\n4,3,1\n",
+    "digit-separator": "y,yhat,phi_a\n1_000,1.5,-1\n2,2.5,0\n4,3,1\n",
+    "inf": "y,yhat,phi_a\n1,1.5,inf\n2,2.5,0\n4,3,1\n",
+    "nan": "y,yhat,phi_a\n1,1.5,-1\n2,nan,0\n4,3,1\n",
+    "header-only": "y,yhat,phi_a\n",
+    "header-blank-line": "y,yhat,phi_a\n\n",
+    "empty": "",
+    "byte-order-mark": "\ufeffy,yhat,phi_a\n" + _BODY,
+    "duplicate-header": "y,yhat,y\n" + _BODY,
+    "not-utf8": b"y,yhat,phi_a\n1,1.5,\xe9\n2,2.5,0\n",
+}
+#: The cases the fast path reads itself.
+_FAST_CASES = ("plain", "crlf", "cr-only", "no-final-newline", "quoted-cell", "byte-order-mark")
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+    st.sampled_from(["", " 2 ", '"1.5"', ' "1.5"', '"1\n"', "1_0", "#", "-1#x", "１", "nan",
+                     "inf", "1e400", '"2', "\x00"]),
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "", "\n\n", "\r\r\n", "\n \n"])
+
+
+def _assert_same(fast, scan):
+    """Identical floats, bit for bit, or an identical error message."""
+    if isinstance(scan, str):
+        assert fast == scan
+    else:
+        assert fast.tobytes() == scan.tobytes()
 
 
 class TestBulkCsvParse:
+    """The ``loadtxt`` path reads what the per-cell scan reads, bit for bit,
+    and leaves every input it could misread to the scan."""
+
     def test_golden_file_matches_scan(self):
-        header, rows = cli_module._read_table(str(DATA_DIR / "golden_6row.csv"))
+        path = DATA_DIR / "golden_6row.csv"
         names = ["y", "yhat", "phi_b", "phi_a"]
-        assert _parsed_in_bulk(names, header, rows).tobytes() == _scanned(names, header, rows).tobytes()
+        with _scan_disabled():
+            fast = _read_columns(path, names)
+        assert fast.tobytes() == _read_columns(path, names, fast=False).tobytes()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -664,13 +761,81 @@ class TestBulkCsvParse:
         ),
         style=st.sampled_from(["{:.17g}", " {:.17g} ", "{:+.17g}", "{:.16e}"]),
     )
-    def test_17_digit_floats_match_scan(self, values, style):
-        header = ["y", "phi_a", "yhat"]
-        rows = [[style.format(v) for v in row] for row in values]
+    def test_17_digit_floats_match_scan(self, tmp_path_factory, values, style):
+        path = tmp_path_factory.getbasetemp() / "floats.csv"
+        lines = ["y,phi_a,yhat", *(",".join(style.format(v) for v in row) for row in values)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         names = ["y", "yhat", "phi_a"]
-        bulk = _parsed_in_bulk(names, header, rows)
-        assert bulk.tobytes() == _scanned(names, header, rows).tobytes()
-        assert bulk.tobytes() == np.array(values)[:, [0, 2, 1]].T.tobytes()
+        with _scan_disabled():
+            fast = _read_columns(path, names)
+        assert fast.tobytes() == _read_columns(path, names, fast=False).tobytes()
+        assert fast.tobytes() == np.array(values)[:, [0, 2, 1]].T.tobytes()
+
+    @pytest.mark.parametrize("name, text", _LOADER_CASES.items(), ids=_LOADER_CASES.keys())
+    def test_fast_path_agrees_with_scan(self, tmp_path, name, text):
+        path = tmp_path / "in.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8", newline="")
+        _assert_same(_read_columns(path), _read_columns(path, fast=False))
+        assert _decompose(path) == _decompose(path, fast=False)
+        assert (cli_module._load_table(str(path)) is not None) == (name in _FAST_CASES)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(st.lists(_CELLS, min_size=2, max_size=4), _LINE_ENDS), max_size=5))
+    def test_random_text_agrees_with_scan(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "random.csv"
+        body = "".join(",".join(cells) + end for cells, end in rows)
+        path.write_text("a,b,c\n" + body, encoding="utf-8", newline="")
+        _assert_same(_read_columns(path), _read_columns(path, fast=False))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("y,yhat,phi_a\n", "no data rows"),
+         ("y,yhat,phi_a\n\n", "line 2: expected 3 fields, got 0")],
+        ids=["header-only", "header-blank-line"],
+    )
+    def test_empty_body_is_an_input_error_under_warnings_as_errors(self, cli, tmp_path, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body without rows
+            result = cli("decompose", str(path))
+        _assert_input_error(result)
+        assert message in result.stderr
+
+    def test_clean_file_loads_without_scan(self, tmp_path):
+        path = tmp_path / "in.csv"
+        y = np.random.default_rng(3).standard_normal(50)
+        yhat = 0.8 * y
+        phi_a = 0.25 * (yhat - yhat.mean())
+        rows = np.column_stack([y, yhat, phi_a, yhat - yhat.mean() - phi_a])
+        write_csv(path, ["y", "yhat", "phi_a", "phi_b"], [[f"{v:.17g}" for v in r] for r in rows])
+        expected = _decompose(path, fast=False)
+        with mock.patch.object(cli_module, "_parse_column", side_effect=AssertionError):
+            assert _decompose(path) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+    def test_piped_input_is_read_once(self):
+        src = Path(cli_module.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from shapr2.cli import main; sys.exit(main())",
+             "decompose", "/dev/stdin"],
+            input=(DATA_DIR / "golden_6row.csv").read_bytes(), capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        golden = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+        assert json.loads(result.stdout)["features"] == golden["features"]
+
+    def test_explain_input_loads_without_scan(self, cli, explain_csv):
+        with _route(fast=False):
+            expected = cli("explain", str(explain_csv), "--target", "outcome")
+        with _scan_disabled():
+            result = cli("explain", str(explain_csv), "--target", "outcome")
+        assert result.code == 0 and result.stdout == expected.stdout
 
 
 _STUMP_DOC = {

@@ -6,6 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shapr2 import metrics
 from shapr2 import (
@@ -22,6 +25,7 @@ from shapr2.errors import (
     DegenerateInput,
     InvalidValue,
     ModelExplainsNothing,
+    Shapr2Error,
     ShapeError,
 )
 
@@ -363,6 +367,102 @@ class TestInvariants:
         result = decompose(y, yhat, phi)
         assert result.variance_ratios[1] == 1.0
         assert any("clamped" in w for w in result.warnings)
+
+
+#: How far a joint shift (|c| <= 100) or a positive scale (1e-3 to 1e3) of
+#: y, yhat and phi may move baseline_r2, feature_r2, the shares and
+#: sigma_unique_raw, on inputs with var(y) >= 0.1 whose clamped weights sum
+#: to at least 0.01 and whose model explains at least 1 % of var(y). Fixed
+#: before the tests below were written: rounding moves each variance by about
+#: 1e-14 of its scale, and dividing by the weight sum amplifies that 100-fold.
+#: Each modified residual variance must also be at least 0.1 % of var(y): on
+#: a perfect fit with a constant phi column both terms of that column's ratio
+#: are rounding noise (0 / 0), and a rescale moved its share from 0 to 0.4.
+INVARIANCE_ATOL = 1e-9
+
+
+@st.composite
+def decompose_inputs(draw, max_features=5):
+    """``(y, yhat, phi)``: additive predictions ``c + sum_f phi`` and an
+    outcome that adds noise to them, every cell in [-5, 5]."""
+    n = draw(st.integers(3, 30))
+    f = draw(st.integers(1, max_features))
+    cells = st.floats(-5.0, 5.0, allow_nan=False)
+    phi = draw(hnp.arrays(np.float64, (n, f), elements=cells))
+    yhat = draw(cells) + phi.sum(axis=1)
+    y = yhat + draw(hnp.arrays(np.float64, n, elements=cells))
+    return y, yhat, phi
+
+
+def _decomposition(y, yhat, phi):
+    """``decompose``, with inputs it rejects filtered out of the test."""
+    try:
+        return decompose(y, yhat, phi)
+    except Shapr2Error:
+        assume(False)
+
+
+class TestDecomposeProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=decompose_inputs())
+    def test_shares_on_simplex_summing_to_baseline(self, inputs):
+        result = _decomposition(*inputs)
+        assert np.all(result.feature_shares >= 0.0)
+        assert np.all(result.feature_r2 >= 0.0)
+        if result.all_features_null:
+            assert not result.feature_shares.any() and not result.feature_r2.any()
+        else:
+            assert abs(result.feature_shares.sum() - 1.0) <= 1e-10
+            assert abs(result.feature_r2.sum() - result.baseline_r2) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=decompose_inputs(), data=st.data())
+    def test_permuting_columns_permutes_results(self, inputs, data):
+        y, yhat, phi = inputs
+        perm = np.array(data.draw(st.permutations(range(phi.shape[1]))))
+        base = _decomposition(y, yhat, phi)
+        permuted = decompose(y, yhat, phi[:, perm])
+        # each column's ratio comes from that column alone; the shares share
+        # one sum, whose addition order follows the columns
+        assert permuted.variance_ratios.tobytes() == base.variance_ratios[perm].tobytes()
+        assert permuted.all_features_null == base.all_features_null
+        assert permuted.feature_shares == pytest.approx(base.feature_shares[perm], rel=1e-12, abs=1e-15)
+        assert permuted.feature_r2 == pytest.approx(base.feature_r2[perm], rel=1e-12, abs=1e-15)
+        assert permuted.baseline_r2 == base.baseline_r2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inputs=decompose_inputs(),
+        shift=st.floats(-100.0, 100.0),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_invariant_under_joint_shift_and_positive_scale(self, inputs, shift, scale):
+        y, yhat, phi = inputs
+        base = _decomposition(y, yhat, phi)
+        var_y = np.var(y, ddof=1)
+        assume(var_y >= 0.1)
+        assume(var_y - np.var(y - yhat, ddof=1) >= 0.01 * var_y)
+        assume(base.baseline_r2 * (1.0 - base.variance_ratios).sum() >= 0.01)
+        assume(all(np.var(y - yhat + column, ddof=1) >= 1e-3 * var_y for column in phi.T))
+        for moved in (
+            decompose(y + shift, yhat + shift, phi + shift),
+            decompose(scale * y, scale * yhat, scale * phi),
+        ):
+            assert not moved.all_features_null
+            for name in ("baseline_r2", "feature_r2", "feature_shares", "sigma_unique_raw"):
+                assert getattr(moved, name) == pytest.approx(
+                    getattr(base, name), rel=0, abs=INVARIANCE_ATOL
+                ), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=decompose_inputs(max_features=4), data=st.data())
+    def test_all_zero_column_gets_exactly_zero(self, inputs, data):
+        y, yhat, phi = inputs
+        at = data.draw(st.integers(0, phi.shape[1]))
+        result = _decomposition(y, yhat, np.insert(phi, at, 0.0, axis=1))
+        assert result.feature_shares[at] == 0.0
+        assert result.feature_r2[at] == 0.0
+        assert result.variance_ratios[at] == 1.0
 
 
 class TestShapleyMatrixType:
