@@ -6,7 +6,8 @@ Contracts:
   artifacts always require explicit paths,
 * outputs are all or nothing: a run that fails creates or changes none of
   its output files,
-* exit codes: 0 success, 2 input/validation error, 3 numerical failure,
+* exit codes: 0 success, 2 input/validation error, 3 numerical failure or
+  out of memory,
 * with fixed seeds, output bytes are identical across runs; ``--threads``
   is accepted and validated but changes neither results nor the execution
   path, and provenance records semantic options only, never performance
@@ -43,7 +44,7 @@ from .metrics import ShapleyMatrix, decompose
 from .models import fit_ols, fit_stump_ensemble, tune_iterations
 from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
-from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
+from .shapley import SEED_MAX, BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
 from .simulation import GridSpec, derive_seed, run_grid
 
 #: Relative additivity gap beyond which an ingested phi0 triggers a warning.
@@ -66,6 +67,8 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # a field over the reader's length limit
+        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: file is empty")
     header = [name.strip() for name in rows[0]]
@@ -155,6 +158,7 @@ def _load_decompose_input(path: str, phi0_flag: float | None):
 
     phi0_column = "phi0" in header and phi0_flag is None
     columns = columns_of(["y", "yhat", *phi_names, *(["phi0"] if phi0_column else [])])
+    del columns_of  # the last reference to the parsed table: free it before phi is copied
     if "phi0" in header and not phi0_column:
         raise ValidationError(f"{path}: phi0 provided both as a column and as --phi0")
     phi0 = phi0_flag
@@ -170,7 +174,8 @@ def _load_decompose_input(path: str, phi0_flag: float | None):
         feature_names=tuple(name[len("phi_"):] for name in phi_names),
         provenance="ingested",
     )
-    return columns[0], columns[1], matrix
+    # copies, so the gathered block is freed on return and not kept alive by y and yhat
+    return columns[0].copy(), columns[1].copy(), matrix
 
 
 def _load_explain_input(path: str, target: str) -> Dataset:
@@ -181,6 +186,7 @@ def _load_explain_input(path: str, target: str) -> Dataset:
     if not feature_names:
         raise ValidationError(f"{path}: no feature columns besides the target")
     columns = columns_of([target, *feature_names])
+    del columns_of  # the last reference to the parsed table: free it before Dataset copies
     return Dataset(x=columns[1:].T, y=columns[0], feature_names=tuple(feature_names))
 
 
@@ -614,14 +620,21 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
-        if (getattr(args, "seed", 0) or 0) < 0:
+        seed = getattr(args, "seed", 0) or 0
+        if seed < 0:
             raise ValidationError("--seed must be a non-negative integer")
+        if seed >= SEED_MAX:
+            raise ValidationError("seed must fit in an unsigned 64-bit integer")
         return handlers[args.command](args)
     except Shapr2Error as exc:
         # the whole exit-code rule: input errors subclass ValueError and exit
         # 2; every other error is a numerical failure and exits 3
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 3
+    except MemoryError as exc:  # a run too large for this machine: exit 3, no traceback
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

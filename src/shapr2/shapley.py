@@ -34,7 +34,8 @@ from .metrics import ShapleyMatrix
 #: Exact enumeration refuses beyond this many features (2^16 coalitions).
 EXACT_FEATURE_CAP = 16
 
-_SEED_MAX = 2**64
+#: Seeds key a Philox generator, so each must fit in an unsigned 64-bit integer.
+SEED_MAX = 2**64
 
 
 @runtime_checkable
@@ -79,7 +80,7 @@ class SamplingConfig:
     def __post_init__(self):
         if self.permutations_per_instance < 1:
             raise InvalidValue("permutations_per_instance must be >= 1")
-        if not 0 <= int(self.seed) < _SEED_MAX:
+        if not 0 <= int(self.seed) < SEED_MAX:
             raise InvalidValue("seed must fit in an unsigned 64-bit integer")
         if self.background_subsample is not None and self.background_subsample < 1:
             raise InvalidValue("background_subsample must be >= 1 when set")

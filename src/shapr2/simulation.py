@@ -22,9 +22,7 @@ from .data import Dataset
 from .errors import InvalidMatrix, InvalidValue, NonPositiveDefinite
 from .metrics import decompose
 from .models import fit_ols
-from .shapley import BackgroundSet, SamplingConfig, linear_shapley, sampled_shapley
-
-_SEED_MAX = 2**64
+from .shapley import SEED_MAX, BackgroundSet, SamplingConfig, linear_shapley, sampled_shapley
 
 #: Pivot tolerance below which the Cholesky factorization is declared
 #: non-positive-definite.
@@ -75,7 +73,7 @@ class UniformCorrelationSpec:
         _check_cell_values(self.rho, self.coefficients, self.noise_sd)
         if self.n_samples < 2:
             raise InvalidValue("n_samples must be >= 2")
-        if not 0 <= int(self.seed) < _SEED_MAX:
+        if not 0 <= int(self.seed) < SEED_MAX:
             raise InvalidValue("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
@@ -122,6 +120,8 @@ class GridSpec:
             raise InvalidValue("rho_values is empty")
         if self.seed < 0:
             raise InvalidValue("seed must be a non-negative integer")
+        if self.seed >= SEED_MAX:
+            raise InvalidValue("seed must fit in an unsigned 64-bit integer")
         # checked for every estimator, so an invalid value is never ignored
         if self.permutations < 1:
             raise InvalidValue("permutations must be >= 1")

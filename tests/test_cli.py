@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -559,6 +560,15 @@ class TestErrorPaths:
         path.write_bytes(b"y,yhat,phi_a\n1,2,\xe9\n")
         _assert_input_error(cli("decompose", str(path)))
 
+    def test_oversized_field_on_scan_names_line(self, cli, tmp_path):
+        # the blank line sends the file to the scan, whose csv reader caps a field's length
+        path = tmp_path / "wide.csv"
+        path.write_text("y,yhat,phi_a\n1,1.5,-1\n\n2,2.5," + "0" * 200_000 + "\n4,3,1\n",
+                        encoding="utf-8")
+        result = cli("decompose", str(path))
+        _assert_input_error(result)
+        assert result.stderr.startswith(f"error: {path}, line 4: ")
+
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_exact_background_subsample_below_one(self, cli, explain_csv, value):
         _assert_input_error(
@@ -653,6 +663,52 @@ class TestExitCodes:
         assert result.code == (2 if issubclass(error, ValueError) else 3)
         assert result.stderr == "error: boom\n"  # no traceback
         assert result.stdout == ""
+
+    def test_memory_error_exits_three(self, cli, tmp_path):
+        grid = tmp_path / "g.csv"
+        with mock.patch.object(cli_module, "cmd_simulate", side_effect=MemoryError("boom")):
+            result = cli("simulate", "--rhos", "0", "--out", str(grid))
+        assert result.code == 3
+        assert result.stderr == "error: out of memory: boom\n"
+        assert result.stdout == ""
+        assert not grid.exists()
+
+    def test_memory_error_while_staging_leaves_no_output(self, cli, tmp_path):
+        # the grid CSV is staged before the summary fails, and is removed again
+        with mock.patch.object(cli_module, "_write_text", side_effect=MemoryError):
+            result = cli("simulate", "--rhos", "0", "--n-samples", "40",
+                         "--out", str(tmp_path / "g.csv"))
+        assert result.code == 3
+        assert result.stderr == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("explain", "{csv}", "--target", "outcome", "--seed", "{seed}"),
+            ("explain", "{csv}", "--target", "outcome", "--background-subsample", "20",
+             "--seed", "{seed}"),
+            ("explain", "{csv}", "--target", "outcome", "--sampled", "--permutations", "2",
+             "--seed", "{seed}"),
+            ("simulate", "--rhos", "0", "--n-samples", "40", "--seed", "{seed}",
+             "--out", "{tmp}/g.csv"),
+            ("simulate", "--config", "{tmp}/grid.json", "--rhos", "0", "--n-samples", "40",
+             "--out", "{tmp}/g.csv"),
+        ],
+        ids=["explain-exact", "explain-subsample", "explain-sampled", "simulate-flag",
+             "simulate-config"],
+    )
+    def test_seed_beyond_64_bits_exits_two(self, cli, explain_csv, tmp_path, argv):
+        seed = 2**64
+        (tmp_path / "grid.json").write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        result = cli(*[a.format(csv=explain_csv, tmp=tmp_path, seed=seed) for a in argv])
+        assert (result.code, result.stderr, result.stdout) == (
+            2, "error: seed must fit in an unsigned 64-bit integer\n", "")
+        assert not (tmp_path / "g.csv").exists()
+        # the largest seed that fits still runs
+        argv = [a.format(csv=explain_csv, tmp=tmp_path, seed=seed - 1) for a in argv]
+        (tmp_path / "grid.json").write_text(json.dumps({"seed": seed - 1}), encoding="utf-8")
+        assert cli(*argv).code == 0
 
 
 def _route(fast):
@@ -836,6 +892,31 @@ class TestBulkCsvParse:
         with _scan_disabled():
             result = cli("explain", str(explain_csv), "--target", "outcome")
         assert result.code == 0 and result.stdout == expected.stdout
+
+
+class TestLoaderMemory:
+    """A loader holds at most the parsed table and one gathered block at a time."""
+
+    def test_decompose_loader_peak_within_budget(self, tmp_path):
+        n, k = 50_000, 8
+        rng = np.random.default_rng(11)
+        phi = rng.standard_normal((n, k))
+        yhat = 0.5 + phi.sum(axis=1)
+        table = np.column_stack([yhat + rng.standard_normal(n), yhat, np.full(n, 0.5), phi])
+        header = ["y", "yhat", "phi0", *(f"phi_x{j}" for j in range(k))]
+        path = tmp_path / "in.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+        tracemalloc.start()
+        try:
+            with _scan_disabled():
+                y, yhat_loaded, matrix = cli_module._load_decompose_input(str(path), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * table.nbytes
+        # y and yhat own their data, so no view keeps the gathered block alive
+        assert y.base is None and yhat_loaded.base is None
+        assert matrix.phi.tobytes() == phi.tobytes()
 
 
 _STUMP_DOC = {
