@@ -38,13 +38,13 @@ import warnings
 
 import numpy as np
 
-from .data import Dataset, has_json_type
+from .data import Dataset, has_json_type, json_floats
 from .errors import FeatureCountExceeded, Shapr2Error, SingularDesign, ValidationError
 from .metrics import ShapleyMatrix, decompose
 from .models import fit_ols, fit_stump_ensemble, tune_iterations
 from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
-from .shapley import SEED_MAX, BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
+from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
 from .simulation import GridSpec, derive_seed, run_grid
 
 #: Relative additivity gap beyond which an ingested phi0 triggers a warning.
@@ -109,16 +109,18 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray] | None:
     """The header and the float body of a CSV file, the body parsed by numpy
     straight from the file; None where the per-cell scan could read it
     differently. ``loadtxt`` skips blank lines and rejects some cells that
-    ``float()`` accepts (full-width digits), so an error, a non-finite value,
-    a width other than the header's or fewer rows than body lines decline."""
+    ``float()`` accepts (full-width digits) and reads fields of any length, so
+    an error, a non-finite value, a line longer than the scan's field limit, a
+    width other than the header's or fewer rows than body lines decline."""
     if not os.path.isfile(path):  # a pipe can be read only once: the scan reads it
         return None
     try:
         # lines after the header; universal newlines read "\r\n" and "\r" as "\n"
-        lines, last = -1, "\n"
+        lines, longest = -1, 0
         with open(path, encoding="utf-8") as handle:
-            for block in iter(lambda: handle.read(1 << 20), ""):
-                lines, last = lines + block.count("\n"), block[-1:]
+            for lines, line in enumerate(handle):
+                if len(line) > longest:  # cheaper per line than max()
+                    longest = len(line)
         with open(path, newline="", encoding="utf-8-sig") as handle:
             header = [name.strip() for name in next(csv.reader(handle), [])]
             with warnings.catch_warnings():
@@ -126,9 +128,9 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray] | None:
                 table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
-    lines += last != "\n"
     fits = lines > 0 and table.shape == (lines, len(header)) and len(set(header)) == len(header)
-    return (header, table) if fits and np.isfinite(table).all() else None
+    fits = fits and longest <= csv.field_size_limit() and np.isfinite(table).all()
+    return (header, table) if fits else None
 
 
 def _read_csv(path: str):
@@ -348,24 +350,15 @@ def _fit_explain_model(args, dataset: Dataset):
     )
 
 
-def _explain_attributions(args, dataset: Dataset, model) -> ShapleyMatrix:
+def _explain_attributions(args, dataset: Dataset, model, config: SamplingConfig) -> ShapleyMatrix:
     if args.sampled:
-        config = SamplingConfig(
-            permutations_per_instance=args.permutations,
-            seed=args.seed,
-            background_subsample=args.background_subsample,
-        )
         return sampled_shapley(model, dataset, BackgroundSet(dataset.x), config)
     background = BackgroundSet(dataset.x)
-    if args.background_subsample is not None:
-        if args.background_subsample > dataset.n_rows:
-            raise ValidationError(
-                "--background-subsample exceeds the number of data rows"
-            )
-        rng = np.random.Generator(
-            np.random.Philox(key=np.uint64(derive_seed(args.seed, 7)))
-        )
-        idx = rng.choice(dataset.n_rows, size=args.background_subsample, replace=False)
+    if config.background_subsample is not None:
+        if config.background_subsample > dataset.n_rows:
+            raise ValidationError("--background-subsample exceeds the number of data rows")
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(derive_seed(config.seed, 7))))
+        idx = rng.choice(dataset.n_rows, size=config.background_subsample, replace=False)
         background = BackgroundSet(dataset.x[np.sort(idx)])
     try:
         return exact_shapley(model, dataset, background)
@@ -376,10 +369,8 @@ def _explain_attributions(args, dataset: Dataset, model) -> ShapleyMatrix:
 
 
 def cmd_explain(args) -> int:
-    if args.permutations < 1:
-        raise ValidationError("--permutations must be >= 1")
-    if args.background_subsample is not None and args.background_subsample < 1:
-        raise ValidationError("--background-subsample must be >= 1")
+    # checked before any input is read, whichever engine runs
+    config = SamplingConfig(args.permutations, args.seed, args.background_subsample)
     dataset = _load_explain_input(args.csv, args.target)
     try:
         model = _fit_explain_model(args, dataset)
@@ -388,7 +379,7 @@ def cmd_explain(args) -> int:
             f"{exc} (hint: drop duplicated or linearly dependent feature columns)"
         ) from None
     yhat = model.predict_batch(dataset.x)
-    matrix = _explain_attributions(args, dataset, model)
+    matrix = _explain_attributions(args, dataset, model, config)
     result = decompose(dataset.y, yhat, matrix, eq7_as_printed=args.eq7_as_printed)
 
     options = {
@@ -442,16 +433,6 @@ _CONFIG_SCALARS = {
 }
 
 
-def _json_floats(value, what: str) -> tuple[float, ...]:
-    """The floats of a JSON list of numbers; a boolean is not a number."""
-    try:
-        if isinstance(value, list) and all(has_json_type(v, (int, float)) for v in value):
-            return tuple(float(v) for v in value)
-    except OverflowError:  # an integer too large for a float
-        pass
-    raise ValidationError(f"{what} must be a list of numbers, got {value!r}")
-
-
 def _read_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -469,11 +450,11 @@ def _read_config(path: str) -> dict:
         if key in settings and not has_json_type(settings[key], types):
             raise ValidationError(f"{path}: {key} must be {expected}, got {settings[key]!r}")
     if "rho_values" in settings:
-        settings["rho_values"] = _json_floats(settings["rho_values"], f"{path}: rho_values")
+        settings["rho_values"] = json_floats(settings["rho_values"], f"{path}: rho_values")
     if "coefficient_configs" in settings:
         try:
             settings["coefficient_configs"] = tuple(
-                (str(c["id"]), _json_floats(c["coefficients"], f"{path}: coefficients"))
+                (str(c["id"]), json_floats(c["coefficients"], f"{path}: coefficients"))
                 for c in settings["coefficient_configs"]
             )
         except (KeyError, TypeError):
@@ -620,11 +601,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
-        seed = getattr(args, "seed", 0) or 0
-        if seed < 0:
-            raise ValidationError("--seed must be a non-negative integer")
-        if seed >= SEED_MAX:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
         return handlers[args.command](args)
     except Shapr2Error as exc:
         # the whole exit-code rule: input errors subclass ValueError and exit

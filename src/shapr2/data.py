@@ -1,4 +1,4 @@
-"""Dataset container shared by the model zoo, the Shapley engine, and the CLI."""
+"""Dataset container and input checks shared by the model zoo, the engines and the CLI."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValue, ShapeError
+from .errors import InvalidValue, ShapeError, ValidationError
 
 
 def has_json_type(value, types) -> bool:
@@ -14,23 +14,22 @@ def has_json_type(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def as_float_matrix(values, name: str) -> np.ndarray:
-    """Validate and return a read-only 2-D float array with finite entries."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidValue(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+def json_floats(value, what: str) -> tuple[float, ...]:
+    """The floats of a JSON list of numbers; a boolean is not a number."""
+    try:
+        if isinstance(value, list) and all(has_json_type(v, (int, float)) for v in value):
+            return tuple(float(v) for v in value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ValidationError(f"{what} must be a list of numbers, got {value!r}")
 
 
-def as_float_vector(values, name: str) -> np.ndarray:
-    """Validate and return a read-only 1-D float array with finite entries."""
+def as_float_array(values, name: str, ndim: int) -> np.ndarray:
+    """Validate and return a read-only ``ndim``-dimensional float array with
+    finite entries."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise InvalidValue(f"{name} contains non-finite entries")
     arr = arr.copy()
@@ -51,10 +50,10 @@ class Dataset:
     feature_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        x = as_float_matrix(self.x, "x")
+        x = as_float_array(self.x, "x", 2)
         object.__setattr__(self, "x", x)
         if self.y is not None:
-            y = as_float_vector(self.y, "y")
+            y = as_float_array(self.y, "y", 1)
             if y.shape[0] != x.shape[0]:
                 raise ShapeError(
                     f"y has {y.shape[0]} rows but x has {x.shape[0]}"

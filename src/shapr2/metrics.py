@@ -22,27 +22,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import as_float_matrix, as_float_vector
+from .data import as_float_array
 from .errors import DegenerateInput, ModelExplainsNothing, ShapeError
 
 PROVENANCES = ("exact", "sampled", "closed_form_linear", "ingested")
 
-#: Relative tolerance of the additivity identity phi0 + sum_f phi = yhat for
-#: exact and closed-form attribution matrices.
-ADDITIVITY_RTOL = 1e-9
-
 
 def sample_variance(values) -> float:
     """Unbiased sample variance (N-1 denominator) of a finite vector."""
-    v = as_float_vector(values, "values")
+    v = as_float_array(values, "values", 1)
     if v.size < 2:
         raise DegenerateInput(f"need at least 2 values, got {v.size}")
     return float(np.var(v, ddof=1))
 
 
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
-    yv = as_float_vector(y, "y")
-    ph = as_float_vector(yhat, "yhat")
+    yv = as_float_array(y, "y", 1)
+    ph = as_float_array(yhat, "yhat", 1)
     if yv.shape[0] != ph.shape[0]:
         raise ShapeError(f"y has length {yv.shape[0]} but yhat has {ph.shape[0]}")
     if yv.size < 2:
@@ -96,7 +92,7 @@ class ShapleyMatrix:
     config: object | None = None
 
     def __post_init__(self):
-        phi = as_float_matrix(self.phi, "phi")
+        phi = as_float_array(self.phi, "phi", 2)
         object.__setattr__(self, "phi", phi)
         if self.phi0 is not None:
             phi0 = float(self.phi0)
@@ -128,7 +124,7 @@ class ShapleyMatrix:
         """Largest relative violation of phi0 + sum_f phi[i] == yhat[i]."""
         if self.phi0 is None:
             raise DegenerateInput("matrix has no phi0; additivity is unchecked")
-        ph = as_float_vector(yhat, "yhat")
+        ph = as_float_array(yhat, "yhat", 1)
         if ph.shape[0] != self.n_rows:
             raise ShapeError("yhat length does not match attribution rows")
         recon = self.phi0 + self.phi.sum(axis=1)
@@ -139,7 +135,7 @@ class ShapleyMatrix:
 def _phi_array(phi) -> np.ndarray:
     if isinstance(phi, ShapleyMatrix):
         return phi.phi
-    return as_float_matrix(phi, "phi")
+    return as_float_array(phi, "phi", 2)
 
 
 def shapley_modified_predictions(yhat, phi) -> np.ndarray:
@@ -148,7 +144,7 @@ def shapley_modified_predictions(yhat, phi) -> np.ndarray:
     Column f is the prediction vector with feature f's marginal contribution
     removed; one modified prediction per instance per feature.
     """
-    ph = as_float_vector(yhat, "yhat")
+    ph = as_float_array(yhat, "yhat", 1)
     mat = _phi_array(phi)
     if mat.shape[0] != ph.shape[0]:
         raise ShapeError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, has_json_type
+from .data import Dataset, has_json_type, json_floats
 from .errors import (
     InvalidValue,
     NoValidSplit,
@@ -187,13 +187,9 @@ def model_from_document(doc: dict):
     try:
         if kind == "linear":
             coefficients = _document_value(doc, "coefficients", list, "a list of numbers")
-            if not all(has_json_type(c, (int, float)) for c in coefficients):
-                raise ValidationError(
-                    f"model document: coefficients must be a list of numbers, got {coefficients!r}"
-                )
-            return LinearModel(
+            return LinearModel(  # keywords in the order the document is checked
+                coefficients=json_floats(coefficients, "model document: coefficients"),
                 intercept=float(_document_value(doc, "intercept")),
-                coefficients=np.array(coefficients, dtype=float),
             )
         if kind == "stump_ensemble":
             return StumpEnsemble(

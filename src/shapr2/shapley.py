@@ -27,15 +27,22 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .data import Dataset, as_float_matrix
+from .data import Dataset, as_float_array
 from .errors import FeatureCountExceeded, InvalidValue, ShapeError
 from .metrics import ShapleyMatrix
+from .models import LinearModel
 
 #: Exact enumeration refuses beyond this many features (2^16 coalitions).
 EXACT_FEATURE_CAP = 16
 
 #: Seeds key a Philox generator, so each must fit in an unsigned 64-bit integer.
 SEED_MAX = 2**64
+
+
+def check_seed(seed: int) -> None:
+    """The seed rule of every seeded spec: an integer in [0, SEED_MAX)."""
+    if not 0 <= int(seed) < SEED_MAX:
+        raise InvalidValue("seed must fit in an unsigned 64-bit integer")
 
 
 @runtime_checkable
@@ -54,7 +61,7 @@ class BackgroundSet:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = as_float_matrix(self.rows, "background rows")
+        rows = as_float_array(self.rows, "background rows", 2)
         if rows.shape[0] < 1:
             raise ShapeError("background set needs at least one row")
         object.__setattr__(self, "rows", rows)
@@ -71,7 +78,8 @@ class BackgroundSet:
 @dataclass(frozen=True)
 class SamplingConfig:
     """Fully determines a sampled attribution run. The seed is mandatory:
-    no ambient entropy is ever consulted."""
+    no ambient entropy is ever consulted. Its checks are the one owner of the
+    rules on the sampling options and the seed, on every route."""
 
     permutations_per_instance: int
     seed: int
@@ -79,9 +87,8 @@ class SamplingConfig:
 
     def __post_init__(self):
         if self.permutations_per_instance < 1:
-            raise InvalidValue("permutations_per_instance must be >= 1")
-        if not 0 <= int(self.seed) < SEED_MAX:
-            raise InvalidValue("seed must fit in an unsigned 64-bit integer")
+            raise InvalidValue("permutations must be >= 1")
+        check_seed(self.seed)
         if self.background_subsample is not None and self.background_subsample < 1:
             raise InvalidValue("background_subsample must be >= 1 when set")
 
@@ -314,19 +321,15 @@ def linear_shapley(
     ``phi[i, f] = beta_f * (x[i, f] - background_mean_f)`` and
     ``phi0 = intercept + beta . background_means``; agrees with exact
     enumeration for any background and any feature correlation because the
-    coalition value function is linear in the pinned features.
+    coalition value function is linear in the pinned features. The
+    parameters must make a :class:`LinearModel` of the dataset's width.
     """
     background = _resolve_background(dataset, background)
-    beta = np.asarray(coefficients, dtype=float)
-    if beta.ndim != 1 or beta.shape[0] != dataset.n_features:
-        raise ShapeError("coefficient length does not match dataset features")
-    if not (np.all(np.isfinite(beta)) and math.isfinite(float(intercept))):
-        raise InvalidValue("linear parameters must be finite")
-    if background.n_features != dataset.n_features:
-        raise ShapeError("background columns do not match dataset features")
+    model = LinearModel(intercept, coefficients)
+    _check_dims(model, dataset.x, background)
     means = background.rows.mean(axis=0)
-    phi = (dataset.x - means) * beta
-    phi0 = float(intercept) + float(beta @ means)
+    phi = (dataset.x - means) * model.coefficients
+    phi0 = model.intercept + float(model.coefficients @ means)
     return ShapleyMatrix(
         phi=phi,
         phi0=phi0,

@@ -22,7 +22,7 @@ from .data import Dataset
 from .errors import InvalidMatrix, InvalidValue, NonPositiveDefinite
 from .metrics import decompose
 from .models import fit_ols
-from .shapley import SEED_MAX, BackgroundSet, SamplingConfig, linear_shapley, sampled_shapley
+from .shapley import BackgroundSet, SamplingConfig, check_seed, linear_shapley, sampled_shapley
 
 #: Pivot tolerance below which the Cholesky factorization is declared
 #: non-positive-definite.
@@ -73,8 +73,7 @@ class UniformCorrelationSpec:
         _check_cell_values(self.rho, self.coefficients, self.noise_sd)
         if self.n_samples < 2:
             raise InvalidValue("n_samples must be >= 2")
-        if not 0 <= int(self.seed) < SEED_MAX:
-            raise InvalidValue("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
     @property
@@ -118,15 +117,13 @@ class GridSpec:
             raise InvalidValue(f"unknown estimator {self.estimator!r}")
         if not self.rho_values:
             raise InvalidValue("rho_values is empty")
-        if self.seed < 0:
-            raise InvalidValue("seed must be a non-negative integer")
-        if self.seed >= SEED_MAX:
-            raise InvalidValue("seed must fit in an unsigned 64-bit integer")
         # checked for every estimator, so an invalid value is never ignored
-        if self.permutations < 1:
-            raise InvalidValue("permutations must be >= 1")
-        if self.background_subsample is not None and self.background_subsample < 1:
-            raise InvalidValue("background_subsample must be >= 1 when set")
+        SamplingConfig(self.permutations, self.seed, self.background_subsample)
+        if self.background_subsample is not None and self.background_subsample > self.n_samples:
+            raise InvalidValue(
+                f"background_subsample {self.background_subsample} exceeds "
+                f"n_samples {self.n_samples}"
+            )
 
 
 @dataclass(frozen=True)

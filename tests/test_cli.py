@@ -632,8 +632,9 @@ class TestErrorPaths:
             (("--noise-sd", "nan"), "noise_sd"),
             (("--noise-sd", "inf"), "noise_sd"),
             (("--rhos", "0.0,1.5"), "rho"),
+            (("--background-subsample", "50"), "background_subsample"),
         ],
-        ids=["noise-nan", "noise-inf", "rho-range"],
+        ids=["noise-nan", "noise-inf", "rho-range", "subsample-over-samples"],
     )
     def test_grid_flag_rejected_naming_field(self, cli, tmp_path, flags, field):
         result = cli("simulate", "--rhos", "0.0", "--n-samples", "40", *flags,
@@ -641,6 +642,34 @@ class TestErrorPaths:
         _assert_input_error(result)
         assert result.stderr.startswith(f"error: {field} ")
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("permutations", 0, "permutations must be >= 1"),
+            ("background_subsample", 0, "background_subsample must be >= 1 when set"),
+            ("seed", -1, "seed must fit in an unsigned 64-bit integer"),
+            ("seed", 2**64, "seed must fit in an unsigned 64-bit integer"),
+        ],
+        ids=["permutations-zero", "subsample-zero", "seed-negative", "seed-2-64"],
+    )
+    def test_one_message_per_sampling_rule(self, cli, explain_csv, tmp_path, key, value, message):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        flag = ("--" + key.replace("_", "-"), str(value))
+        grid = ("--rhos", "0", "--n-samples", "40", "--out", str(tmp_path / "g.csv"))
+        routes = {
+            "explain": ("explain", str(explain_csv), "--target", "outcome", *flag),
+            "explain-sampled": ("explain", str(explain_csv), "--target", "outcome", "--sampled",
+                                *flag),
+            "simulate-flag": ("simulate", *flag, *grid),
+            "simulate-config": ("simulate", "--config", str(config), *grid),
+        }
+        before = sorted(tmp_path.iterdir())
+        for route, argv in routes.items():
+            result = cli(*argv)
+            assert (result.code, result.stderr, result.stdout) == (2, f"error: {message}\n", ""), route
+            assert sorted(tmp_path.iterdir()) == before, route
 
 
 def _error_classes(base=Shapr2Error):
@@ -776,6 +805,8 @@ _LOADER_CASES = {
     "byte-order-mark": "\ufeffy,yhat,phi_a\n" + _BODY,
     "duplicate-header": "y,yhat,y\n" + _BODY,
     "not-utf8": b"y,yhat,phi_a\n1,1.5,\xe9\n2,2.5,0\n",
+    # loadtxt reads a field of any length; the scan's csv reader caps it at 131,072
+    "long-field": "y,yhat,phi_a\n1,1.5,-1\n2,2.5," + "0" * 200_000 + "\n4,3,1\n",
 }
 #: The cases the fast path reads itself.
 _FAST_CASES = ("plain", "crlf", "cr-only", "no-final-newline", "quoted-cell", "byte-order-mark")

@@ -195,9 +195,11 @@ class TestRunGrid:
             ({"noise_sd": float("nan")}, "noise_sd"),
             ({"noise_sd": float("inf")}, "noise_sd"),
             ({"noise_sd": -0.5}, "noise_sd"),
+            ({"n_samples": 40, "background_subsample": 50}, "background_subsample"),
         ],
         ids=["rho-range", "rho-nan", "no-configs", "ragged-widths", "empty-coefficients",
-             "coefficient-inf", "noise-nan", "noise-inf", "noise-negative"],
+             "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
+             "subsample-over-samples"],
     )
     def test_grid_rejects_value_naming_field(self, changes, field):
         with pytest.raises(InvalidValue, match=f"^{field} "):
