@@ -41,11 +41,11 @@ import numpy as np
 from .data import Dataset, has_json_type, json_floats
 from .errors import FeatureCountExceeded, Shapr2Error, SingularDesign, ValidationError
 from .metrics import ShapleyMatrix, decompose
-from .models import fit_ols, fit_stump_ensemble, tune_iterations
+from .models import TUNE_TOLERANCE, fit_ols, fit_stump_ensemble, tune_iterations
 from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
 from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
-from .simulation import GridSpec, derive_seed, run_grid
+from .simulation import GridSpec, run_grid
 
 #: Relative additivity gap beyond which an ingested phi0 triggers a warning.
 INGEST_ADDITIVITY_RTOL = 1e-6
@@ -351,17 +351,11 @@ def _fit_explain_model(args, dataset: Dataset):
 
 
 def _explain_attributions(args, dataset: Dataset, model, config: SamplingConfig) -> ShapleyMatrix:
-    if args.sampled:
-        return sampled_shapley(model, dataset, BackgroundSet(dataset.x), config)
     background = BackgroundSet(dataset.x)
-    if config.background_subsample is not None:
-        if config.background_subsample > dataset.n_rows:
-            raise ValidationError("--background-subsample exceeds the number of data rows")
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(derive_seed(config.seed, 7))))
-        idx = rng.choice(dataset.n_rows, size=config.background_subsample, replace=False)
-        background = BackgroundSet(dataset.x[np.sort(idx)])
+    if args.sampled:
+        return sampled_shapley(model, dataset, background, config)
     try:
-        return exact_shapley(model, dataset, background)
+        return exact_shapley(model, dataset, background.subsample(config.background_subsample, config.seed))
     except FeatureCountExceeded as exc:
         raise FeatureCountExceeded(
             f"{exc} (hint: pass --sampled to use permutation sampling)"
@@ -563,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--model", choices=("ols", "stumps"), default="ols")
     p_exp.add_argument("--iterations", type=int, default=100, help="boosting iterations for --model stumps")
     p_exp.add_argument("--learning-rate", type=float, default=0.1)
-    p_exp.add_argument("--target-r2", type=float, default=None, help="search the stump iteration count for this training fit (within 0.01)")
+    p_exp.add_argument("--target-r2", type=float, default=None, help=f"search the stump iteration count for this training fit (within {TUNE_TOLERANCE})")
     p_exp.add_argument("--sampled", action="store_true", help="permutation sampling instead of exact enumeration")
     p_exp.add_argument("--permutations", type=int, default=200)
     p_exp.add_argument("--background-subsample", type=int, default=None)

@@ -88,8 +88,6 @@ class ShapleyMatrix:
     phi0: float | None
     feature_names: tuple[str, ...] = field(default=())
     provenance: str = "ingested"
-    #: for sampled matrices, the SamplingConfig that fully determines them
-    config: object | None = None
 
     def __post_init__(self):
         phi = as_float_array(self.phi, "phi", 2)
@@ -245,7 +243,8 @@ def _unique_ratio(var_y: float, var_res: float, per_feature: np.ndarray, eq7_as_
 
 
 def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R2Decomposition:
-    """Decompose the bounded model fit into per-feature shares.
+    """Decompose the bounded model fit into per-feature shares; also exported
+    as :func:`decompose`, the single-call pipeline. Deterministic.
 
     For each feature, the predictions are modified by removing that feature's
     attribution column; the ratio of baseline to modified residual variance is
@@ -326,8 +325,4 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
     )
 
 
-def decompose(y, yhat, phi, *, eq7_as_printed: bool = False) -> R2Decomposition:
-    """Single-call pipeline: baseline fit, modified predictions, per-feature
-    shares, and the unique-variance diagnostic. Deterministic; propagates the
-    constituent operations' errors."""
-    return feature_r2_decomposition(y, yhat, phi, eq7_as_printed=eq7_as_printed)
+decompose = feature_r2_decomposition

@@ -32,6 +32,11 @@ from .errors import (
 )
 from .metrics import baseline_r2
 
+#: :func:`tune_iterations` boosts at most this many rounds, and accepts a
+#: training fit within ``TUNE_TOLERANCE`` of the target.
+TUNE_MAX_ITERATIONS = 20000
+TUNE_TOLERANCE = 0.01
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -330,34 +335,28 @@ def fit_stump_ensemble(
     return _ensemble(dataset, stumps, learning_rate)
 
 
-def tune_iterations(
-    dataset: Dataset,
-    target_r2: float,
-    learning_rate: float = 0.1,
-    max_iterations: int = 20000,
-    tolerance: float = 0.01,
-):
+def tune_iterations(dataset: Dataset, target_r2: float, learning_rate: float = 0.1):
     """Search the iteration count whose training fit is closest to a target.
 
     The training fit is non-decreasing in iterations, so a single incremental
     pass to the first crossing finds the best count. Returns
     ``(model, achieved_r2, iterations)``; raises TargetUnreachable when no
-    count lands within the tolerance.
+    count up to ``TUNE_MAX_ITERATIONS`` lands within ``TUNE_TOLERANCE``.
     """
     if not 0.0 < target_r2 < 1.0:
         raise InvalidValue("target_r2 must be in (0, 1)")
     stumps: list[Stump] = []
     best_k, best_r2, best_gap = 0, math.nan, math.inf
-    for stump, r2 in _boost_steps(dataset, max_iterations, learning_rate):
+    for stump, r2 in _boost_steps(dataset, TUNE_MAX_ITERATIONS, learning_rate):
         stumps.append(stump)
         gap = abs(r2 - target_r2)
         if gap < best_gap:
             best_k, best_r2, best_gap = len(stumps), r2, gap
         if r2 >= target_r2:
             break
-    if best_gap > tolerance:
+    if best_gap > TUNE_TOLERANCE:
         raise TargetUnreachable(
             f"closest training fit to {target_r2} is {best_r2:.4f} "
-            f"at {best_k} iterations (gap {best_gap:.4f} > {tolerance})"
+            f"at {best_k} iterations (gap {best_gap:.4f} > {TUNE_TOLERANCE})"
         )
     return _ensemble(dataset, stumps[:best_k], learning_rate), best_r2, best_k

@@ -3,7 +3,7 @@
 Three routes to an attribution matrix:
 
 * :func:`exact_shapley` enumerates every feature coalition (cost
-  ``O(2^F * B)`` per instance, capped at F=16 by default),
+  ``O(2^F * B)`` per instance, capped at F=16),
 * :func:`sampled_shapley` averages telescoping marginal contributions over
   seeded random feature permutations,
 * :func:`linear_shapley` is the closed form for linear predictors, valid for
@@ -45,6 +45,12 @@ def check_seed(seed: int) -> None:
         raise InvalidValue("seed must fit in an unsigned 64-bit integer")
 
 
+def derive_seed(master_seed: int, *path: int) -> int:
+    """Stable 64-bit child seed from a master seed and integer coordinates."""
+    ss = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 @runtime_checkable
 class Predictor(Protocol):
     """Deterministic scalar-valued model over fixed-length feature rows."""
@@ -73,6 +79,22 @@ class BackgroundSet:
     @property
     def n_features(self) -> int:
         return self.rows.shape[1]
+
+    def subsample_size(self, k: int | None) -> int | None:
+        """The subsample rule of every engine: ``k`` rows, at most :attr:`size`;
+        ``k`` equal to :attr:`size` is the whole background (None)."""
+        if k is not None and k > self.size:
+            raise ShapeError(f"background_subsample {k} exceeds background size {self.size}")
+        return None if k == self.size else k
+
+    def subsample(self, k: int | None, seed: int) -> "BackgroundSet":
+        """The exact engine's background: ``k`` rows drawn once without
+        replacement (stream ``derive_seed(seed, 7)``), in their original order."""
+        k = self.subsample_size(k)
+        if k is None:
+            return self
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(derive_seed(seed, 7))))
+        return BackgroundSet(self.rows[np.sort(rng.choice(self.size, size=k, replace=False))])
 
 
 @dataclass(frozen=True)
@@ -136,36 +158,38 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
     return float(_coalition_values(predictor, row, bits, background.rows)[0])
 
 
-def _resolve_background(dataset: Dataset, background: BackgroundSet | None) -> BackgroundSet:
-    if background is None:
-        return BackgroundSet(dataset.x)
-    return background
-
-
 #: Upper bound on rows handed to one predict_batch call when evaluating
 #: coalition blocks (keeps peak memory flat for wide feature counts).
 _BATCH_ROW_LIMIT = 8192
 
 
-def _coalition_values(predictor: Predictor, row: np.ndarray, bits: np.ndarray, bg) -> np.ndarray:
+def _block(n_masks: int, n_bg: int, n_features: int) -> np.ndarray:
+    """Scratch for one predictor call: as many of ``n_masks`` masks as fit, at least one."""
+    return np.empty((max(1, min(n_masks, _BATCH_ROW_LIMIT // n_bg)), n_bg, n_features))
+
+
+def _coalition_values(predictor: Predictor, row: np.ndarray, bits: np.ndarray, rows: np.ndarray,
+                      index: np.ndarray | None = None, block: np.ndarray | None = None) -> np.ndarray:
     """Coalition values of one instance for every row of a K x F mask matrix.
 
     Value ``k`` is the mean prediction over a background with the columns
-    set in ``bits[k]`` replaced by ``row``. ``bg`` is either a B x F
-    background shared by every mask, or a pair ``(rows, index)`` giving mask
-    ``k`` the background ``rows[index[k]]``; those are gathered one chunk at
-    a time. Predictor calls hold at most ``_BATCH_ROW_LIMIT`` rows, and at
-    least one mask.
+    set in ``bits[k]`` replaced by ``row``, over the B x F ``rows`` or, with
+    ``index``, over ``rows[index[k]]``. Each chunk of masks is one predictor
+    call, built in ``block`` (from :func:`_block`), which a caller evaluating
+    many instances passes so that it is allocated and faulted in only once.
     """
-    rows, index = bg if isinstance(bg, tuple) else (bg, None)
     n_bg = rows.shape[0] if index is None else index.shape[1]
-    per_call = max(1, _BATCH_ROW_LIMIT // n_bg)
+    if block is None:
+        block = _block(bits.shape[0], n_bg, row.shape[0])
+    per_call = block.shape[0]
     values = np.empty(bits.shape[0])
     for start in range(0, bits.shape[0], per_call):
         chunk = slice(start, start + per_call)
-        chunk_bg = rows if index is None else rows[index[chunk]]
-        block = np.where(bits[chunk, None, :], row, chunk_bg).reshape(-1, row.shape[0])
-        values[chunk] = _predict_batch(predictor, block).reshape(-1, n_bg).mean(axis=1)
+        part = block[: bits[chunk].shape[0]]
+        part[...] = rows if index is None else rows[index[chunk]]
+        np.copyto(part, row, where=bits[chunk, None, :])
+        batch = _predict_batch(predictor, part.reshape(-1, row.shape[0]))
+        values[chunk] = batch.reshape(-1, n_bg).mean(axis=1)
     return values
 
 
@@ -173,24 +197,22 @@ def exact_shapley(
     predictor: Predictor,
     dataset: Dataset,
     background: BackgroundSet | None = None,
-    *,
-    feature_cap: int = EXACT_FEATURE_CAP,
 ) -> ShapleyMatrix:
     """Exact attributions by full coalition enumeration.
 
     Satisfies the efficiency, symmetry, dummy, and linearity axioms up to
     floating point. Cost is ``(2^F - 1) * B`` predictor rows per instance,
     one bit-matrix row per non-empty mask; refuses when F exceeds
-    ``feature_cap`` and points at the sampled engine.
+    ``EXACT_FEATURE_CAP`` and points at the sampled engine.
     """
-    background = _resolve_background(dataset, background)
+    background = background or BackgroundSet(dataset.x)
     x = dataset.x
     _check_dims(predictor, x, background)
     n_features = x.shape[1]
-    if n_features > feature_cap:
+    if n_features > EXACT_FEATURE_CAP:
         raise FeatureCountExceeded(
             f"{n_features} features exceeds the exact-enumeration cap of "
-            f"{feature_cap}; use sampled_shapley instead"
+            f"{EXACT_FEATURE_CAP}; use sampled_shapley instead"
         )
 
     n_masks = 1 << n_features
@@ -208,7 +230,7 @@ def exact_shapley(
     masks_without = [np.flatnonzero(~bits[:, f]) for f in range(n_features)]
 
     base_value = float(_predict_batch(predictor, background.rows).mean())
-    bg = background.rows
+    block = _block(n_masks - 1, background.size, n_features)
 
     phi = np.empty(x.shape)
     values = np.empty(n_masks)
@@ -217,7 +239,7 @@ def exact_shapley(
         # every non-empty mask (the full one included) goes through the same
         # batched-mean path, so a provably ignored feature gets an exactly-zero
         # column: each of its coalition-value differences cancels bit-for-bit
-        values[1:] = _coalition_values(predictor, row, bits[1:], bg)
+        values[1:] = _coalition_values(predictor, row, bits[1:], background.rows, block=block)
         for f in range(n_features):
             sel = masks_without[f]
             deltas = values[sel | (1 << f)] - values[sel]
@@ -254,18 +276,11 @@ def sampled_shapley(
     """
     if config is None:
         raise InvalidValue("sampled_shapley requires a SamplingConfig")
-    background = _resolve_background(dataset, background)
+    background = background or BackgroundSet(dataset.x)
     x = dataset.x
     _check_dims(predictor, x, background)
     n_features = x.shape[1]
-    n_bg = background.size
-    sub = config.background_subsample
-    if sub is not None and sub > n_bg:
-        raise ShapeError(
-            f"background_subsample {sub} exceeds background size {n_bg}"
-        )
-    if sub is not None and sub == n_bg:
-        sub = None
+    sub = background.subsample_size(config.background_subsample)
 
     base_value = float(_predict_batch(predictor, background.rows).mean())
     bg = background.rows
@@ -280,7 +295,7 @@ def sampled_shapley(
         perms = np.empty((n_perms, n_features), dtype=np.intp)
         for m in range(n_perms):
             if sub is not None:
-                subsets.append(rng.choice(n_bg, size=sub, replace=False))
+                subsets.append(rng.choice(background.size, size=sub, replace=False))
             perms[m] = rng.permutation(n_features)
         # prefix p of permutation m holds the features at positions 0..p
         position = np.argsort(perms, axis=1)
@@ -290,7 +305,7 @@ def sampled_shapley(
             chain = _coalition_values(predictor, row, unique, bg)[inverse.reshape(-1)]
         else:
             index = np.repeat(np.array(subsets), n_prefix, axis=0)
-            chain = _coalition_values(predictor, row, bits, (bg, index))
+            chain = _coalition_values(predictor, row, bits, bg, index)
         path = np.empty((n_perms, n_features + 1))
         path[:, 0] = base_value
         path[:, 1:-1] = chain.reshape(n_perms, n_prefix)
@@ -306,7 +321,6 @@ def sampled_shapley(
         phi0=base_value,
         feature_names=dataset.feature_names,
         provenance="sampled",
-        config=config,
     )
 
 
@@ -324,7 +338,7 @@ def linear_shapley(
     coalition value function is linear in the pinned features. The
     parameters must make a :class:`LinearModel` of the dataset's width.
     """
-    background = _resolve_background(dataset, background)
+    background = background or BackgroundSet(dataset.x)
     model = LinearModel(intercept, coefficients)
     _check_dims(model, dataset.x, background)
     means = background.rows.mean(axis=0)

@@ -22,7 +22,7 @@ from .data import Dataset
 from .errors import InvalidMatrix, InvalidValue, NonPositiveDefinite
 from .metrics import decompose
 from .models import fit_ols
-from .shapley import BackgroundSet, SamplingConfig, check_seed, linear_shapley, sampled_shapley
+from .shapley import BackgroundSet, SamplingConfig, check_seed, derive_seed, linear_shapley, sampled_shapley
 
 #: Pivot tolerance below which the Cholesky factorization is declared
 #: non-positive-definite.
@@ -34,12 +34,6 @@ DEFAULT_COEFFICIENT_CONFIGS = (
     ("dominant", (4.0, 1.0, 1.0)),
     ("one_zero", (1.0, 1.0, 0.0)),
 )
-
-
-def derive_seed(master_seed: int, *path: int) -> int:
-    """Stable 64-bit child seed from a master seed and integer coordinates."""
-    ss = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _check_cell_values(rho: float, coefficients, noise_sd: float | None) -> None:
@@ -146,12 +140,12 @@ def uniform_correlation_matrix(feature_count: int, rho: float) -> np.ndarray:
     return corr
 
 
-def cholesky_factor(corr, *, pivot_tol: float = PD_PIVOT_TOL) -> np.ndarray:
+def cholesky_factor(corr) -> np.ndarray:
     """Lower-triangular L with L L^T equal to the correlation matrix.
 
     Raises InvalidMatrix for structurally bad input (not square/symmetric,
     diagonal not 1) and NonPositiveDefinite when a pivot falls at or below
-    the tolerance.
+    ``PD_PIVOT_TOL``.
     """
     a = np.asarray(corr, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -166,9 +160,9 @@ def cholesky_factor(corr, *, pivot_tol: float = PD_PIVOT_TOL) -> np.ndarray:
     lower = np.zeros((n, n))
     for j in range(n):
         pivot = a[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if pivot <= pivot_tol:
+        if pivot <= PD_PIVOT_TOL:
             raise NonPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} is <= {pivot_tol:.0e}"
+                f"pivot {pivot:.3e} at column {j} is <= {PD_PIVOT_TOL:.0e}"
             )
         lower[j, j] = np.sqrt(pivot)
         for i in range(j + 1, n):

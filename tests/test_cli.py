@@ -348,6 +348,16 @@ class TestExplain:
         )
         assert result.stdout == repeat.stdout
 
+    def test_exact_subsample_of_every_row_is_the_whole_background(self, cli, explain_csv, tmp_path):
+        argv = ("explain", str(explain_csv), "--target", "outcome", "--model", "stumps",
+                "--iterations", "20", "--seed", "4")
+        whole = cli(*argv, "--emit-shap", str(tmp_path / "whole.csv"))
+        every = cli(*argv, "--background-subsample", "80", "--emit-shap", str(tmp_path / "every.csv"))
+        assert (whole.code, every.code) == (0, 0)
+        option = '"background_subsample": {}'
+        assert every.stdout.replace(option.format(80), option.format("null")) == whole.stdout
+        assert (tmp_path / "every.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_provenance_reproduces_run(self, cli, explain_csv):
         first = cli(
             "explain", str(explain_csv), "--target", "outcome",
@@ -642,6 +652,15 @@ class TestErrorPaths:
         _assert_input_error(result)
         assert result.stderr.startswith(f"error: {field} ")
         assert not (tmp_path / "g.csv").exists()
+
+    def test_one_message_for_subsample_over_rows(self, cli, explain_csv, tmp_path):
+        # explain_csv has 80 rows, which are the background on both engines
+        for engine in ((), ("--sampled",)):
+            result = cli("explain", str(explain_csv), "--target", "outcome",
+                         "--background-subsample", "81", "--out", str(tmp_path / "r.json"), *engine)
+            expected = (2, "error: background_subsample 81 exceeds background size 80\n", "")
+            assert (result.code, result.stderr, result.stdout) == expected, engine
+            assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "key, value, message",

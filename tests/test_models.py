@@ -26,6 +26,7 @@ from shapr2.errors import (
     SingularDesign,
     TargetUnreachable,
 )
+from shapr2 import models
 from shapr2.models import Stump
 
 
@@ -294,10 +295,11 @@ class TestTuneIterations:
         yhat = model.predict_batch(x)
         assert baseline_r2(y, yhat) == pytest.approx(achieved, abs=1e-12)
 
-    def test_unreachable_target(self):
+    def test_unreachable_target(self, monkeypatch):
+        monkeypatch.setattr(models, "TUNE_MAX_ITERATIONS", 3)
         ds, _ = make_regression(seed=12, n=30)
-        with pytest.raises(TargetUnreachable):
-            tune_iterations(ds, target_r2=0.9, learning_rate=0.05, max_iterations=3)
+        with pytest.raises(TargetUnreachable, match="at 3 iterations"):
+            tune_iterations(ds, target_r2=0.9, learning_rate=0.05)
 
     def test_target_domain(self):
         ds, _ = make_regression(seed=13)
@@ -309,7 +311,6 @@ class TestTuneIterations:
         [
             {"learning_rate": 1.5},
             {"learning_rate": 0.0},
-            {"max_iterations": 0},
         ],
     )
     def test_validates_like_fit(self, kwargs):

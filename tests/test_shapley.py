@@ -198,9 +198,9 @@ class TestExactShapley:
         assert result.phi0 == 0.0
 
     def test_feature_cap(self):
-        p = LinearPredictor(0.0, np.ones(5))
-        with pytest.raises(FeatureCountExceeded):
-            exact_shapley(p, Dataset(x=np.zeros((2, 5))), feature_cap=4)
+        p = LinearPredictor(0.0, np.ones(17))
+        with pytest.raises(FeatureCountExceeded, match="cap of 16"):
+            exact_shapley(p, Dataset(x=np.zeros((2, 17))))
 
     def test_background_dimension_mismatch(self):
         p = LinearPredictor(0.0, np.ones(3))
