@@ -41,7 +41,7 @@ import numpy as np
 from .data import Dataset, has_json_type, json_floats
 from .errors import FeatureCountExceeded, Shapr2Error, SingularDesign, ValidationError
 from .metrics import ShapleyMatrix, decompose
-from .models import TUNE_TOLERANCE, fit_ols, fit_stump_ensemble, tune_iterations
+from .models import TUNE_TOLERANCE, check_boosting_options, fit_ols, fit_stump_ensemble, tune_iterations
 from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
 from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
@@ -230,51 +230,33 @@ def _empty_sibling(path: str) -> str | None:
     return temporary
 
 
-class _Outputs:
-    """The output files and stdout text of one command, put in place all or
-    nothing.
+def _publish(outputs: list[tuple[str | None, str]]) -> None:
+    """Put the ``(path, text)`` outputs of one command in place, all or
+    nothing; a path of None is stdout.
 
-    :meth:`stage` writes each file to a temporary sibling of its destination.
-    When the ``with`` block ends without an error, every temporary file
-    replaces its destination, and then stdout, devices and pipes get their
-    text. When it ends with an error, the temporary files are removed, and
-    no destination is created or changed.
+    Each file is written to a temporary sibling of its destination. Once all
+    are written, every temporary file replaces its destination, and then
+    stdout, devices and pipes get their text. On an error, the temporary
+    files are removed, and no destination is created or changed.
     """
-
-    def __init__(self):
-        # (path, or None for stdout; text; temporary file, or None)
-        self.staged: list[tuple[str | None, str, str | None]] = []
-
-    def __enter__(self) -> "_Outputs":
-        return self
-
-    def stage(self, path: str | None, text: str) -> None:
-        try:
-            temporary = None if path is None else _empty_sibling(path)
-            self.staged.append((path, text, temporary))
-            if temporary is not None:
-                with open(temporary, "w", encoding="utf-8", newline="") as handle:
-                    handle.write(text)
-        except OSError as exc:
-            raise _cannot_write(path, exc) from exc
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        try:
-            if kind is None:
-                self._commit()
-        finally:
-            for _, _, temporary in self.staged:
-                if temporary is not None and os.path.lexists(temporary):
-                    os.remove(temporary)
-
-    def _commit(self) -> None:
-        for path, _, temporary in self.staged:
+    temporaries: list[str | None] = []
+    try:
+        for path, text in outputs:
+            try:
+                temporary = None if path is None else _empty_sibling(path)
+                temporaries.append(temporary)
+                if temporary is not None:
+                    with open(temporary, "w", encoding="utf-8", newline="") as handle:
+                        handle.write(text)
+            except OSError as exc:
+                raise _cannot_write(path, exc) from exc
+        for (path, _), temporary in zip(outputs, temporaries):
             if temporary is not None:
                 try:
                     os.replace(temporary, os.path.realpath(path))
                 except OSError as exc:
                     raise _cannot_write(path, exc) from exc
-        for path, text, temporary in self.staged:
+        for (path, text), temporary in zip(outputs, temporaries):
             if path is None:
                 sys.stdout.write(text)
             elif temporary is None:
@@ -283,11 +265,15 @@ class _Outputs:
                         handle.write(text)
                 except OSError as exc:
                     raise _cannot_write(path, exc) from exc
+    finally:
+        for temporary in temporaries:
+            if temporary is not None and os.path.lexists(temporary):
+                os.remove(temporary)
 
 
-def _write_text(text: str, out_path: str | None, outputs: _Outputs) -> None:
-    """Stage ``text`` for ``out_path``, or for stdout when it is None."""
-    outputs.stage(out_path, text)
+def _write_text(text: str, out_path: str | None, outputs: list) -> None:
+    """Queue ``text`` for ``out_path``, or for stdout when it is None."""
+    outputs.append((out_path, text))
 
 
 def _csv_cell(value) -> str:
@@ -298,17 +284,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple], outputs: _Outputs) -> None:
+def _write_csv(path: str, header: list[str], rows: list[tuple], outputs: list) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    outputs.stage(path, "\n".join(lines) + "\n")
+    outputs.append((path, "\n".join(lines) + "\n"))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args, outputs: list) -> None:
     y, yhat, matrix = _load_decompose_input(args.csv, args.phi0)
     extra_warnings: list[str] = []
     if matrix.phi0 is not None:
@@ -331,9 +317,7 @@ def cmd_decompose(args) -> int:
         "version": VERSION,
     }
     report = build_report(result, provenance, tuple(extra_warnings))
-    with _Outputs() as outputs:
-        _write_text(dumps(report), args.out, outputs)
-    return 0
+    _write_text(dumps(report), args.out, outputs)
 
 
 def _fit_explain_model(args, dataset: Dataset):
@@ -362,9 +346,10 @@ def _explain_attributions(args, dataset: Dataset, model, config: SamplingConfig)
         ) from None
 
 
-def cmd_explain(args) -> int:
-    # checked before any input is read, whichever engine runs
+def cmd_explain(args, outputs: list) -> None:
+    # checked before any input is read, whichever engine and model run
     config = SamplingConfig(args.permutations, args.seed, args.background_subsample)
+    check_boosting_options(args.iterations, args.learning_rate)
     dataset = _load_explain_input(args.csv, args.target)
     try:
         model = _fit_explain_model(args, dataset)
@@ -395,24 +380,21 @@ def cmd_explain(args) -> int:
         "version": VERSION,
     }
     report = dumps(build_report(result, provenance))
-    model_text = None if args.emit_model is None else dumps(_model_document(model))
-    with _Outputs() as outputs:
-        if args.emit_shap is not None:
-            names = [f"phi_{name}" for name in matrix.feature_names]
-            rows = [
-                (
-                    float(dataset.y[i]),
-                    float(yhat[i]),
-                    float(matrix.phi0),
-                    *(float(v) for v in matrix.phi[i]),
-                )
-                for i in range(dataset.n_rows)
-            ]
-            _write_csv(args.emit_shap, ["y", "yhat", "phi0", *names], rows, outputs)
-        if model_text is not None:
-            _write_text(model_text, args.emit_model, outputs)
-        _write_text(report, args.out, outputs)
-    return 0
+    if args.emit_shap is not None:
+        names = [f"phi_{name}" for name in matrix.feature_names]
+        rows = [
+            (
+                float(dataset.y[i]),
+                float(yhat[i]),
+                float(matrix.phi0),
+                *(float(v) for v in matrix.phi[i]),
+            )
+            for i in range(dataset.n_rows)
+        ]
+        _write_csv(args.emit_shap, ["y", "yhat", "phi0", *names], rows, outputs)
+    if args.emit_model is not None:
+        _write_text(dumps(_model_document(model)), args.emit_model, outputs)
+    _write_text(report, args.out, outputs)
 
 
 #: Scalar keys of a simulate config file: accepted JSON types, and their
@@ -446,16 +428,21 @@ def _read_config(path: str) -> dict:
     if "rho_values" in settings:
         settings["rho_values"] = json_floats(settings["rho_values"], f"{path}: rho_values")
     if "coefficient_configs" in settings:
-        try:
-            settings["coefficient_configs"] = tuple(
-                (str(c["id"]), json_floats(c["coefficients"], f"{path}: coefficients"))
-                for c in settings["coefficient_configs"]
-            )
-        except (KeyError, TypeError):
+        records = settings["coefficient_configs"]
+        if not isinstance(records, list) or not all(isinstance(c, dict) for c in records):
             raise ValidationError(
                 "coefficient_configs must be a list of "
                 '{"id": ..., "coefficients": [...]} records'
-            ) from None
+            )
+        for c in records:
+            if set(c) != {"id", "coefficients"}:
+                raise ValidationError(f"{path}: coefficient_configs records take the keys "
+                                      f"id and coefficients, got {sorted(c)}")
+            if not isinstance(c["id"], str):
+                raise ValidationError(f"{path}: id must be a string, got {c['id']!r}")
+        settings["coefficient_configs"] = tuple(
+            (c["id"], json_floats(c["coefficients"], f"{path}: coefficients")) for c in records
+        )
     return settings
 
 
@@ -510,19 +497,17 @@ def _grid_summary(grid) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, outputs: list) -> None:
     grid_spec = _grid_from_args(args)
     grid = run_grid(grid_spec)
     summary = dumps(_grid_summary(grid))
-    with _Outputs() as outputs:
-        _write_csv(
-            args.out,
-            ["rho", "config_id", "status", "sigma_unique", "baseline_r2"],
-            grid.rows(),
-            outputs,
-        )
-        _write_text(summary, args.summary_out, outputs)
-    return 0
+    _write_csv(
+        args.out,
+        ["rho", "config_id", "status", "sigma_unique", "baseline_r2"],
+        grid.rows(),
+        outputs,
+    )
+    _write_text(summary, args.summary_out, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +580,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
-        return handlers[args.command](args)
+        outputs: list[tuple[str | None, str]] = []  # every command's text, before any is written
+        handlers[args.command](args, outputs)
+        _publish(outputs)
+        return 0
     except Shapr2Error as exc:
         # the whole exit-code rule: input errors subclass ValueError and exit
         # 2; every other error is a numerical failure and exits 3

@@ -130,12 +130,6 @@ class ShapleyMatrix:
         return float(np.max(np.abs(recon - ph) / scale))
 
 
-def _phi_array(phi) -> np.ndarray:
-    if isinstance(phi, ShapleyMatrix):
-        return phi.phi
-    return as_float_array(phi, "phi", 2)
-
-
 def shapley_modified_predictions(yhat, phi) -> np.ndarray:
     """N x F matrix whose (i, f) entry is yhat[i] minus feature f's attribution.
 
@@ -143,7 +137,7 @@ def shapley_modified_predictions(yhat, phi) -> np.ndarray:
     removed; one modified prediction per instance per feature.
     """
     ph = as_float_array(yhat, "yhat", 1)
-    mat = _phi_array(phi)
+    mat = phi.phi if isinstance(phi, ShapleyMatrix) else as_float_array(phi, "phi", 2)
     if mat.shape[0] != ph.shape[0]:
         raise ShapeError(
             f"phi has {mat.shape[0]} rows but yhat has length {ph.shape[0]}"
@@ -186,12 +180,14 @@ def _ranking(feature_r2: np.ndarray) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _checked_inputs(y, yhat, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _checked_inputs(y, yhat, phi) -> tuple[np.ndarray, np.ndarray, ShapleyMatrix]:
+    """The paired outcome and prediction vectors, and ``phi`` as a
+    :class:`ShapleyMatrix` (a raw array gets the default feature names)."""
     yv, ph = _paired(y, yhat)
-    mat = _phi_array(phi)
-    if mat.shape[0] != yv.shape[0]:
+    matrix = phi if isinstance(phi, ShapleyMatrix) else ShapleyMatrix(phi, None)
+    if matrix.n_rows != yv.shape[0]:
         raise ShapeError("phi rows do not match observation count")
-    return yv, ph, mat
+    return yv, ph, matrix
 
 
 def _modified_residual_variances(yv: np.ndarray, ph: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -219,9 +215,9 @@ def unique_variance_ratio(y, yhat, phi, *, eq7_as_printed: bool = False):
     modified-residual variances (no subtraction). That form does not equal 1
     for uncorrelated features and is exposed only for comparison.
     """
-    yv, ph, mat = _checked_inputs(y, yhat, phi)
+    yv, ph, matrix = _checked_inputs(y, yhat, phi)
     var_res = float(np.var(yv - ph, ddof=1))
-    per_feature = _modified_residual_variances(yv, ph, mat)
+    per_feature = _modified_residual_variances(yv, ph, matrix.phi)
     return _unique_ratio(float(np.var(yv, ddof=1)), var_res, per_feature, eq7_as_printed)
 
 
@@ -257,59 +253,39 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
     variance), the result is the distinct all-null outcome: zero shares
     alongside the baseline value, rather than a division by zero.
     """
-    yv, ph, mat = _checked_inputs(y, yhat, phi)
+    yv, ph, matrix = _checked_inputs(y, yhat, phi)
     var_y = float(np.var(yv, ddof=1))
     if var_y == 0.0:
         raise DegenerateInput("outcome has zero variance")
-    names = (
-        phi.feature_names
-        if isinstance(phi, ShapleyMatrix)
-        else tuple(f"x{i + 1}" for i in range(mat.shape[1]))
-    )
 
     r2b, var_res = _bounded_fit(yv, ph)
-    per_feature_var = _modified_residual_variances(yv, ph, mat)
-
-    n_features = mat.shape[1]
-    ratios = np.empty(n_features)
-    warnings: list[str] = []
-    for f in range(n_features):
-        vf = float(per_feature_var[f])
-        raw_ratio = np.inf if vf == 0.0 else var_res / vf
-        if raw_ratio > 1.0:
-            ratios[f] = 1.0
-            warnings.append(
-                f"variance ratio for feature {names[f]!r} clamped to 1 "
-                f"(removal reduced residual variance)"
-            )
-        else:
-            ratios[f] = raw_ratio
+    per_feature_var = _modified_residual_variances(yv, ph, matrix.phi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # v == 0 gives inf: 0 / 0 clamps to 1
+        raw_ratios = np.where(per_feature_var == 0.0, np.inf, var_res / per_feature_var)
+    ratios = np.minimum(raw_ratios, 1.0)
+    warnings = [
+        f"variance ratio for feature {matrix.feature_names[f]!r} clamped to 1 "
+        f"(removal reduced residual variance)"
+        for f in np.flatnonzero(raw_ratios > 1.0)
+    ]
 
     weights = r2b - ratios * r2b
     weight_sum = float(weights.sum())
-
-    sigma_raw: float | None
-    sigma: float | None
-    if weight_sum <= 0.0:
-        feature_r2 = np.zeros(n_features)
-        shares = np.zeros(n_features)
-        null = True
+    null = weight_sum <= 0.0
+    shares = np.zeros(matrix.n_features) if null else weights / weight_sum
+    feature_r2 = shares * r2b
+    if null:
         warnings.append(
             "no feature increases residual variance; "
             "feature-level shares are all zero"
         )
-        try:
-            sigma_raw, sigma = _unique_ratio(var_y, var_res, per_feature_var, eq7_as_printed)
-        except ModelExplainsNothing:
-            sigma_raw = sigma = None
-            warnings.append(
-                "model explains no variance; sigma_unique is undefined"
-            )
-    else:
-        shares = weights / weight_sum
-        feature_r2 = shares * r2b
-        null = False
+    try:
         sigma_raw, sigma = _unique_ratio(var_y, var_res, per_feature_var, eq7_as_printed)
+    except ModelExplainsNothing:
+        if not null:
+            raise
+        sigma_raw = sigma = None
+        warnings.append("model explains no variance; sigma_unique is undefined")
 
     return R2Decomposition(
         baseline_r2=r2b,
@@ -319,7 +295,7 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
         sigma_unique_raw=sigma_raw,
         sigma_unique=sigma,
         ranking=_ranking(feature_r2),
-        feature_names=names,
+        feature_names=matrix.feature_names,
         all_features_null=null,
         warnings=tuple(warnings),
     )

@@ -283,6 +283,15 @@ def _best_stump(x: np.ndarray, residual: np.ndarray, candidates) -> Stump:
     return best
 
 
+def check_boosting_options(iterations: int, learning_rate: float) -> None:
+    """The rules on the boosting options, checked by the boosting loop and
+    by ``explain`` whichever model it fits."""
+    if iterations < 1:
+        raise InvalidValue("iterations must be >= 1")
+    if not 0.0 < learning_rate <= 1.0:
+        raise InvalidValue("learning_rate must be in (0, 1]")
+
+
 def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
     """The boosting loop: yields ``(stump, training_r2)`` for each of up to
     ``iterations`` rounds, where ``training_r2`` is the bounded fit of the
@@ -290,10 +299,7 @@ def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
     """
     if dataset.y is None:
         raise InvalidValue("dataset has no outcome column to fit")
-    if iterations < 1:
-        raise InvalidValue("iterations must be >= 1")
-    if not 0.0 < learning_rate <= 1.0:
-        raise InvalidValue("learning_rate must be in (0, 1]")
+    check_boosting_options(iterations, learning_rate)
     x, y = dataset.x, dataset.y
     if x.shape[0] < 2:
         raise InvalidValue("need at least 2 rows to boost")

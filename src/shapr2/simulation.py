@@ -97,11 +97,15 @@ class GridSpec:
 
     def __post_init__(self):
         """Every cell's values obey the cell rules, and all coefficient
-        configs have one width, which is the grid's feature count."""
+        configs have distinct ids and one width, which is the grid's feature
+        count."""
         if not self.coefficient_configs:
             raise InvalidValue("coefficient_configs is empty")
         if len({len(c) for _, c in self.coefficient_configs}) != 1:
             raise InvalidValue("coefficient_configs have inconsistent lengths")
+        ids = [config_id for config_id, _ in self.coefficient_configs]
+        if len(set(ids)) != len(ids):
+            raise InvalidValue(f"coefficient_configs ids must be unique, got {ids}")
         rhos = tuple(float(rho) for rho in self.rho_values)
         for rho in rhos:
             for _, coefficients in self.coefficient_configs:

@@ -4,6 +4,7 @@ golden-file byte stability, and cross-run determinism."""
 import contextlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -130,6 +131,14 @@ class TestDecompose:
         doc = json.loads(result.stdout)
         assert doc["warnings"]
         assert all(feature["r2"] == 0.0 for feature in doc["features"])
+
+    def test_model_explaining_nothing_exits_three(self, cli, tmp_path):
+        # non-null shares, but var(y - yhat) >= var(y): sigma_unique is undefined
+        path = tmp_path / "nothing.csv"
+        write_csv(path, ["y", "yhat", "phi_a"], [[v, -v, v] for v in range(4)])
+        result = cli("decompose", str(path))
+        assert (result.code, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     def test_phi0_column_additivity_warning(self, cli, tmp_path):
         path = tmp_path / "mismatch.csv"
@@ -525,6 +534,48 @@ class TestErrorPaths:
         assert phi.read_text(encoding="utf-8").startswith("y,yhat,phi0,")
         assert phi.stat().st_mode & 0o777 == 0o640  # as open(path, "w") leaves it
 
+    def test_out_naming_a_directory(self, cli, tmp_path):
+        before = sorted(tmp_path.iterdir())
+        result = cli("decompose", str(DATA_DIR / "golden_6row.csv"), "--out", str(tmp_path))
+        _assert_input_error(result)
+        assert result.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert result.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_out_to_a_device_writes_in_place(self, cli):
+        result = cli("decompose", str(DATA_DIR / "golden_6row.csv"), "--out", os.devnull)
+        assert (result.code, result.stdout, result.stderr) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_out_through_a_symlink_writes_the_target(self, cli, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA_DIR.parent)
+        target, link = tmp_path / "report.json", tmp_path / "link.json"
+        link.symlink_to(target.name)
+        assert cli("decompose", "data/golden_6row.csv", "--out", str(link)).code == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == GOLDEN_REPORT.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+
+    def test_new_file_mode_follows_umask(self, cli, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            assert cli("decompose", str(DATA_DIR / "golden_6row.csv"),
+                       "--out", str(tmp_path / "r.json")).code == 0
+        finally:
+            os.umask(mask)
+        assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_file_is_left_unchanged(self, cli, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(0o444)
+        result = cli("decompose", str(DATA_DIR / "golden_6row.csv"), "--out", str(out))
+        _assert_input_error(result)
+        assert result.stderr == f"error: cannot write {out}: Permission denied\n"
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert sorted(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -546,6 +597,23 @@ class TestErrorPaths:
     def test_sampling_options_below_one(self, cli, explain_csv, tmp_path, argv):
         _assert_input_error(cli(*[a.format(csv=explain_csv, tmp=tmp_path) for a in argv]))
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--model", "ols", "--iterations", "-5"), "iterations must be >= 1"),
+            (("--model", "ols", "--learning-rate", "7"), "learning_rate must be in (0, 1]"),
+            (("--model", "ols", "--learning-rate", "nan"), "learning_rate must be in (0, 1]"),
+            (("--model", "stumps", "--target-r2", "0.5", "--iterations", "-5"),
+             "iterations must be >= 1"),
+        ],
+        ids=["ols-iterations", "ols-learning-rate", "ols-learning-rate-nan",
+             "target-r2-iterations"],
+    )
+    def test_model_options_checked_whichever_model_runs(self, cli, explain_csv, flags, message):
+        for csv_path in (explain_csv, explain_csv.parent / "missing.csv"):  # before input is read
+            result = cli("explain", str(csv_path), "--target", "outcome", *flags)
+            assert (result.code, result.stderr, result.stdout) == (2, f"error: {message}\n", "")
 
     def test_csv_with_byte_order_mark(self, cli, tmp_path, monkeypatch):
         (tmp_path / "data").mkdir()
@@ -621,6 +689,21 @@ class TestErrorPaths:
                 id="coefficients-string-and-boolean",
             ),
             pytest.param('{"rho_values": [1' + "0" * 400 + "]}", id="rho-integer-overflows-float"),
+            pytest.param(
+                '{"coefficient_configs": [{"id": null, "coefficients": [1, 2]}, '
+                '{"id": null, "coefficients": [2, 1]}], "rho_values": [0.0], "n_samples": 30}',
+                id="null-ids",
+            ),
+            pytest.param('{"coefficient_configs": [{"id": 1, "coefficients": [1, 2]}]}',
+                         id="number-id"),
+            pytest.param('{"coefficient_configs": [{"coefficients": [1, 2]}]}', id="missing-id"),
+            pytest.param('{"coefficient_configs": [{"id": "a", "coefficients": [1, 2], "x": 0}]}',
+                         id="unknown-record-key"),
+            pytest.param(
+                '{"coefficient_configs": [{"id": "a", "coefficients": [1, 2]}, '
+                '{"id": "a", "coefficients": [2, 1]}]}',
+                id="duplicate-ids",
+            ),
             pytest.param(
                 '{"coefficient_configs": [{"id": "a", "coefficients": [1' + "0" * 400 + ", 1]}]}",
                 id="coefficient-integer-overflows-float",
@@ -722,7 +805,7 @@ class TestExitCodes:
         assert not grid.exists()
 
     def test_memory_error_while_staging_leaves_no_output(self, cli, tmp_path):
-        # the grid CSV is staged before the summary fails, and is removed again
+        # the grid CSV is queued before the summary fails, and is never written
         with mock.patch.object(cli_module, "_write_text", side_effect=MemoryError):
             result = cli("simulate", "--rhos", "0", "--n-samples", "40",
                          "--out", str(tmp_path / "g.csv"))

@@ -2,6 +2,7 @@
 oracle values (two-pass / exact-fraction arithmetic, frozen before the build)
 and against the documented invariants."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -201,6 +202,30 @@ class TestFeatureR2Decomposition:
         assert result.baseline_r2 == 0.0
         assert result.sigma_unique is None and result.sigma_unique_raw is None
         assert any("explains no variance" in w for w in result.warnings)
+
+    def test_explains_nothing_with_non_null_shares_raises(self):
+        # removing the column raises residual variance, so the shares are not
+        # null, but var(y - yhat) >= var(y) leaves sigma_unique undefined
+        y = np.array([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ModelExplainsNothing):
+            decompose(y, -y, y[:, None])
+
+    def test_raw_phi_matches_matrix_with_default_names(self):
+        # the second column shrinks the residuals when removed, so it clamps
+        y, yhat = np.array(GOLDEN_Y), np.array(GOLDEN_YHAT)
+        phi = np.column_stack([GOLDEN_PHI[:, 0], (yhat - y) / 2])
+        raw = decompose(y, yhat, phi)
+        wrapped = decompose(y, yhat, ShapleyMatrix(phi=phi, phi0=None))
+        assert raw.feature_names == wrapped.feature_names == ("x1", "x2")
+        assert raw.warnings == wrapped.warnings and "'x2'" in raw.warnings[0]
+        for field in dataclasses.fields(raw):
+            assert np.array_equal(getattr(raw, field.name), getattr(wrapped, field.name))
+
+    @pytest.mark.parametrize("as_matrix", [False, True], ids=["raw", "matrix"])
+    def test_phi_row_count_must_match(self, as_matrix):
+        phi = GOLDEN_PHI[:5]
+        with pytest.raises(ShapeError, match="phi rows do not match observation count"):
+            decompose(GOLDEN_Y, GOLDEN_YHAT, ShapleyMatrix(phi, None) if as_matrix else phi)
 
     def test_ranking_tiebreak_ascending_index(self):
         phi = np.column_stack([GOLDEN_PHI[:, 1], GOLDEN_PHI[:, 1], GOLDEN_PHI[:, 0]])

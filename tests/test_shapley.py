@@ -367,6 +367,54 @@ class TestConfigValidation:
         with pytest.raises(ShapeError):
             BackgroundSet(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize(
+        "x, background, message",
+        [
+            (np.zeros((2, 2)), np.zeros((2, 2)), "dataset has 2 features but predictor expects 3"),
+            (np.zeros((2, 3)), np.zeros((2, 2)), "background has 2 columns, dataset has 3"),
+        ],
+        ids=["dataset-width", "background-width"],
+    )
+    def test_dimension_messages(self, x, background, message):
+        p = LinearPredictor(0.0, np.ones(3))
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            exact_shapley(p, Dataset(x=x), BackgroundSet(background))
+
+
+class RowProductPredictor:
+    """:class:`ProductPredictor` without ``predict_batch``: the engines call
+    ``predict`` once per row."""
+
+    feature_count = 3
+    predict = ProductPredictor.predict
+
+
+class TestPerRowFallback:
+    def test_matches_batched_twin_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        ds = Dataset(x=rng.standard_normal((5, 3)))
+        bg = BackgroundSet(rng.standard_normal((4, 3)))
+        for run in (
+            lambda p: exact_shapley(p, ds, bg),
+            lambda p: sampled_shapley(p, ds, bg, SamplingConfig(3, 5, background_subsample=2)),
+        ):
+            batched, per_row = run(ProductPredictor()), run(RowProductPredictor())
+            assert np.array_equal(batched.phi, per_row.phi)
+            assert batched.phi0 == per_row.phi0
+        for coalition in ([], [0, 2], [0, 1, 2]):
+            assert coalition_value(ProductPredictor(), ds.x[0], coalition, bg) == \
+                coalition_value(RowProductPredictor(), ds.x[0], coalition, bg)
+
+    def test_non_finite_prediction(self):
+        class InfAtOrigin:
+            feature_count = 1
+
+            def predict(self, row):
+                return math.inf if row[0] == 0.0 else 1.0
+
+        with pytest.raises(InvalidValue, match="^predictor returned a non-finite value$"):
+            exact_shapley(InfAtOrigin(), Dataset(x=np.array([[1.0], [0.0]])))
+
 
 class SquarePredictor:
     feature_count = 1

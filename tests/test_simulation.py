@@ -196,14 +196,21 @@ class TestRunGrid:
             ({"noise_sd": float("inf")}, "noise_sd"),
             ({"noise_sd": -0.5}, "noise_sd"),
             ({"n_samples": 40, "background_subsample": 50}, "background_subsample"),
+            ({"coefficient_configs": (("a", (1.0, 2.0)), ("a", (2.0, 1.0)))}, "coefficient_configs"),
         ],
         ids=["rho-range", "rho-nan", "no-configs", "ragged-widths", "empty-coefficients",
              "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
-             "subsample-over-samples"],
+             "subsample-over-samples", "duplicate-ids"],
     )
     def test_grid_rejects_value_naming_field(self, changes, field):
         with pytest.raises(InvalidValue, match=f"^{field} "):
             GridSpec(**changes)
+
+    def test_unknown_estimator(self):
+        with pytest.raises(InvalidValue, match="^unknown estimator 'x'$"):
+            GridSpec(estimator="x")
+        with pytest.raises(InvalidValue, match="^unknown estimator 'x'$"):
+            run_cell(spec(0.0, n=30), estimator="x")
 
     def test_rho_values_are_floats(self):
         rhos = GridSpec(rho_values=[0, 1]).rho_values
