@@ -5,7 +5,7 @@ Contracts:
 * reports are JSON on stdout by default (``--out`` redirects to a file); CSV
   artifacts always require explicit paths,
 * outputs are all or nothing: a run that fails creates or changes none of
-  its output files,
+  its output files; stdout is written last, after the files are replaced,
 * exit codes: 0 success, 2 input/validation error, 3 numerical failure or
   out of memory,
 * with fixed seeds, output bytes are identical across runs; ``--threads``
@@ -130,19 +130,28 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray] | None:
         return None
     fits = lines > 0 and table.shape == (lines, len(header)) and len(set(header)) == len(header)
     fits = fits and longest <= csv.field_size_limit() and np.isfinite(table).all()
+    table.flags.writeable = False  # the columns handed out are views of it
     return (header, table) if fits else None
 
 
 def _read_csv(path: str):
-    """The header of a CSV file, and a function that returns the named
-    columns as the rows of a C-contiguous float matrix, in the order given:
-    parsed by :func:`_load_table` or, where that declines, by the scan."""
-    loaded = _load_table(path)
-    if loaded is not None:
-        header, table = loaded
-        return header, lambda names: table.T[[header.index(name) for name in names]]
-    header, rows = _read_table(path)
-    return header, lambda names: np.array([_parse_column(n, header.index(n), rows, path) for n in names])
+    """The header of a CSV file and ``columns_of(names)``: the named columns as a
+    read-only N x k matrix, a view of :func:`_load_table`'s table where they sit
+    side by side in header order, else a C-contiguous copy (the scan's, on call)."""
+    header, body = _load_table(path) or _read_table(path)
+
+    def columns_of(names):
+        i = [header.index(name) for name in names]
+        if isinstance(body, list):
+            block = np.column_stack([_parse_column(n, j, body, path) for n, j in zip(names, i)])
+        elif i == list(range(i[0], i[-1] + 1)):  # adjacent and in header order
+            block = body[:, i[0]:i[-1] + 1]
+        else:
+            block = body.take(i, axis=1)
+        block.flags.writeable = False
+        return block
+
+    return header, columns_of
 
 
 def _load_decompose_input(path: str, phi0_flag: float | None):
@@ -158,26 +167,17 @@ def _load_decompose_input(path: str, phi0_flag: float | None):
         if name not in known:
             raise ValidationError(f"{path}: unexpected column {name!r}")
 
-    phi0_column = "phi0" in header and phi0_flag is None
-    columns = columns_of(["y", "yhat", *phi_names, *(["phi0"] if phi0_column else [])])
-    del columns_of  # the last reference to the parsed table: free it before phi is copied
-    if "phi0" in header and not phi0_column:
-        raise ValidationError(f"{path}: phi0 provided both as a column and as --phi0")
+    y, yhat, phi = columns_of(["y"])[:, 0], columns_of(["yhat"])[:, 0], columns_of(phi_names)
     phi0 = phi0_flag
-    if phi0_column:
-        col = columns[-1]
+    if "phi0" in header:
+        if phi0_flag is not None:
+            raise ValidationError(f"{path}: phi0 provided both as a column and as --phi0")
+        col = columns_of(["phi0"])[:, 0]
         if np.any(col != col[0]):
             raise ValidationError(f"{path}: phi0 column is not constant")
         phi0 = float(col[0])
 
-    matrix = ShapleyMatrix(
-        phi=columns[2:2 + len(phi_names)].T,
-        phi0=phi0,
-        feature_names=tuple(name[len("phi_"):] for name in phi_names),
-        provenance="ingested",
-    )
-    # copies, so the gathered block is freed on return and not kept alive by y and yhat
-    return columns[0].copy(), columns[1].copy(), matrix
+    return y, yhat, ShapleyMatrix(phi, phi0, tuple(n[len("phi_"):] for n in phi_names), "ingested")
 
 
 def _load_explain_input(path: str, target: str) -> Dataset:
@@ -187,9 +187,10 @@ def _load_explain_input(path: str, target: str) -> Dataset:
     feature_names = [name for name in header if name != target]
     if not feature_names:
         raise ValidationError(f"{path}: no feature columns besides the target")
-    columns = columns_of([target, *feature_names])
-    del columns_of  # the last reference to the parsed table: free it before Dataset copies
-    return Dataset(x=columns[1:].T, y=columns[0], feature_names=tuple(feature_names))
+    y = columns_of([target])[:, 0]
+    x = np.ascontiguousarray(columns_of(feature_names))  # the engines walk the rows of x
+    x.flags.writeable = False  # so Dataset keeps this copy rather than making another
+    return Dataset(x=x, y=y, feature_names=tuple(feature_names))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,24 @@ def _empty_sibling(path: str) -> str | None:
     return temporary
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it. On failure, stdout is pointed at
+    the null device, so that the flush at exit has nothing left to fail on."""
+    try:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (AttributeError, OSError, ValueError):  # no stdout file descriptor to replace
+            pass
+        raise _cannot_write("<stdout>", exc) from exc
+
+
 def _publish(outputs: list[tuple[str | None, str]]) -> None:
     """Put the ``(path, text)`` outputs of one command in place, all or
     nothing; a path of None is stdout.
@@ -258,7 +277,7 @@ def _publish(outputs: list[tuple[str | None, str]]) -> None:
                     raise _cannot_write(path, exc) from exc
         for (path, text), temporary in zip(outputs, temporaries):
             if path is None:
-                sys.stdout.write(text)
+                _write_stdout(text)
             elif temporary is None:
                 try:
                     with open(path, "w", encoding="utf-8", newline="") as handle:

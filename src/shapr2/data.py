@@ -26,14 +26,24 @@ def json_floats(value, what: str) -> tuple[float, ...]:
 
 def as_float_array(values, name: str, ndim: int) -> np.ndarray:
     """Validate and return a read-only ``ndim``-dimensional float array with
-    finite entries."""
+    finite entries.
+
+    A float array that is read-only through its whole ``.base`` chain, down
+    to an array that owns its data, comes back as it is, without a copy: no
+    writeable array shares its memory. Any other input is copied (a writeable
+    array, a read-only view of a writeable array, an array over a foreign
+    buffer), so later changes to it leave the result alone."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise InvalidValue(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
+    base = arr
+    while isinstance(base, np.ndarray) and not (base.flags.writeable or base.flags.owndata):
+        base = base.base
+    if not isinstance(base, np.ndarray) or base.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
     return arr
 
 

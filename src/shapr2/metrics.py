@@ -125,9 +125,13 @@ class ShapleyMatrix:
         ph = as_float_array(yhat, "yhat", 1)
         if ph.shape[0] != self.n_rows:
             raise ShapeError("yhat length does not match attribution rows")
-        recon = self.phi0 + self.phi.sum(axis=1)
-        scale = np.maximum(np.abs(ph), 1.0)
-        return float(np.max(np.abs(recon - ph) / scale))
+        gap = self.phi.sum(axis=1)  # |phi0 + sum - yhat| / max(|yhat|, 1), in place
+        gap += self.phi0
+        gap -= ph
+        np.abs(gap, out=gap)
+        scale = np.abs(ph)
+        gap /= np.maximum(scale, 1.0, out=scale)
+        return float(gap.max())
 
 
 def shapley_modified_predictions(yhat, phi) -> np.ndarray:

@@ -2,6 +2,7 @@
 golden-file byte stability, and cross-run determinism."""
 
 import contextlib
+import errno
 import json
 import os
 import stat
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR, run_cli
 from shapr2 import cli as cli_module
 from shapr2.errors import InvalidValue, Shapr2Error, ShapeError, ValidationError
+from shapr2.metrics import ShapleyMatrix, decompose
 from shapr2.models import LinearModel, Stump, StumpEnsemble, model_from_document
 
 GOLDEN_REPORT = DATA_DIR / "golden_report.json"
@@ -497,6 +499,23 @@ def _assert_input_error(result):
     assert result.stderr.count("\n") == 1
 
 
+def _cli_in_child(*argv, wrap=(), **kwargs):
+    """``shapr2 argv`` in a child interpreter started through the ``wrap``
+    command prefix; ``kwargs`` go to ``subprocess.run``."""
+    src = Path(cli_module.__file__).parents[1]
+    return subprocess.run(
+        [*wrap, sys.executable, "-c", "import sys; from shapr2.cli import main; sys.exit(main())",
+         *argv],
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)}, **kwargs,
+    )
+
+
+def _decompose_golden_in_child(stdout=None, wrap=()):
+    """``decompose`` on the golden input, with ``stdout`` as its stdout."""
+    return _cli_in_child("decompose", str(DATA_DIR / "golden_6row.csv"), wrap=wrap,
+                         stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv",
@@ -575,6 +594,29 @@ class TestErrorPaths:
         assert result.stderr == f"error: cannot write {out}: Permission denied\n"
         assert out.read_text(encoding="utf-8") == "old\n"
         assert sorted(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_stdout_on_a_full_device(self):
+        with open("/dev/full", "w") as full:
+            result = _decompose_golden_in_child(stdout=full)
+        assert (result.returncode, result.stderr) == (
+            2, f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_stdout_closed(self):
+        # the shell starts the child with file descriptor 1 closed
+        result = _decompose_golden_in_child(wrap=["sh", "-c", 'exec "$@" >&-', "sh"])
+        assert (result.returncode, result.stderr) == (
+            2, f"error: cannot write <stdout>: {os.strerror(errno.EBADF)}\n")
+
+    def test_stdout_pipe_closed_by_reader(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = _decompose_golden_in_child(stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (
+            2, f"error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -958,7 +1000,7 @@ class TestBulkCsvParse:
         with _scan_disabled():
             fast = _read_columns(path, names)
         assert fast.tobytes() == _read_columns(path, names, fast=False).tobytes()
-        assert fast.tobytes() == np.array(values)[:, [0, 2, 1]].T.tobytes()
+        assert fast.tobytes() == np.array(values)[:, [0, 2, 1]].tobytes()
 
     @pytest.mark.parametrize("name, text", _LOADER_CASES.items(), ids=_LOADER_CASES.keys())
     def test_fast_path_agrees_with_scan(self, tmp_path, name, text):
@@ -1008,13 +1050,8 @@ class TestBulkCsvParse:
 
     @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
     def test_piped_input_is_read_once(self):
-        src = Path(cli_module.__file__).parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c", "import sys; from shapr2.cli import main; sys.exit(main())",
-             "decompose", "/dev/stdin"],
-            input=(DATA_DIR / "golden_6row.csv").read_bytes(), capture_output=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        result = _cli_in_child("decompose", "/dev/stdin", capture_output=True,
+                               input=(DATA_DIR / "golden_6row.csv").read_bytes())
         assert result.returncode == 0, result.stderr
         golden = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
         assert json.loads(result.stdout)["features"] == golden["features"]
@@ -1026,9 +1063,50 @@ class TestBulkCsvParse:
             result = cli("explain", str(explain_csv), "--target", "outcome")
         assert result.code == 0 and result.stdout == expected.stdout
 
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scan"])
+    def test_explain_x_is_c_contiguous(self, explain_csv, fast):
+        with _route(fast):
+            dataset = cli_module._load_explain_input(str(explain_csv), "outcome")
+        assert dataset.x.flags.c_contiguous and not dataset.x.flags.writeable
+        assert dataset.x.shape == (80, 3)
+
+    def test_report_independent_of_column_layout(self, tmp_path, monkeypatch):
+        # phi adjacent (a view of the table), phi interleaved with y and yhat
+        # (a gathered copy), and the per-cell scan give the same bytes
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal((3000, 3)) * [1.0, 1e-3, 1e3]
+        yhat = 0.25 + phi.sum(axis=1)
+        columns = {"y": yhat + rng.standard_normal(3000), "yhat": yhat,
+                   "phi0": np.full(3000, 0.26),  # off enough for an additivity warning
+                   "phi_a": phi[:, 0], "phi_b": phi[:, 1], "phi_c": phi[:, 2]}
+        orders = {"adjacent": ["y", "yhat", "phi0", "phi_a", "phi_b", "phi_c"],
+                  "interleaved": ["phi_a", "y", "phi_b", "yhat", "phi_c", "phi0"]}
+        results, shared = [], {}
+        for name, header in orders.items():
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            write_csv(Path("in.csv"), header,
+                      [[f"{v:.17g}" for v in row] for row in zip(*(columns[h] for h in header))])
+            with _scan_disabled():
+                y, _, matrix = cli_module._load_decompose_input("in.csv", None)
+                shared[name] = _owner(matrix.phi) is _owner(y)
+                results.append(_decompose("in.csv"))
+            results.append(_decompose("in.csv", fast=False))
+        assert shared == {"adjacent": True, "interleaved": False}
+        assert results[0][0] == 0 and "additivity violated" in results[0][1]
+        assert all(result == results[0] for result in results)
+
+
+def _owner(arr):
+    """The array at the end of ``arr``'s ``.base`` chain."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
 
 class TestLoaderMemory:
-    """A loader holds at most the parsed table and one gathered block at a time."""
+    """Ingest holds one copy of its input: the parsed table, which ``y``,
+    ``yhat`` and ``phi`` view, read-only, through ``decompose``."""
 
     def test_decompose_loader_peak_within_budget(self, tmp_path):
         n, k = 50_000, 8
@@ -1043,12 +1121,17 @@ class TestLoaderMemory:
         try:
             with _scan_disabled():
                 y, yhat_loaded, matrix = cli_module._load_decompose_input(str(path), None)
+            matrix.additivity_gap(yhat_loaded)
+            decompose(y, yhat_loaded, matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * table.nbytes
-        # y and yhat own their data, so no view keeps the gathered block alive
-        assert y.base is None and yhat_loaded.base is None
+        assert peak <= 1.5 * table.nbytes
+        parsed = _owner(y)
+        assert parsed.shape == table.shape and not parsed.flags.writeable
+        for arr in (y, yhat_loaded, matrix.phi):
+            assert _owner(arr) is parsed and np.shares_memory(arr, parsed)
+            assert not arr.flags.writeable
         assert matrix.phi.tobytes() == phi.tobytes()
 
 

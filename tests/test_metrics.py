@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from shapr2 import metrics
+from shapr2.data import as_float_array
 from shapr2 import (
     ShapleyMatrix,
     baseline_r2,
@@ -506,3 +507,54 @@ class TestShapleyMatrixType:
     def test_default_feature_names(self):
         matrix = ShapleyMatrix(phi=np.zeros((2, 3)), phi0=None)
         assert matrix.feature_names == ("x1", "x2", "x3")
+
+    def test_additivity_gap_is_the_relative_formula(self):
+        rng = np.random.default_rng(5)
+        phi = rng.standard_normal((200, 4)) * 10.0 ** rng.uniform(-3, 3, (200, 4))
+        yhat = 0.3 + phi.sum(axis=1) + rng.standard_normal(200) * 1e-9
+        yhat[:5] = 0.0  # rows below unit scale
+        gap = ShapleyMatrix(phi=phi, phi0=0.3).additivity_gap(yhat)
+        assert gap == float(np.max(np.abs(0.3 + phi.sum(axis=1) - yhat) / np.maximum(np.abs(yhat), 1.0)))
+
+
+def _frozen(shape):
+    """A read-only array that owns its data."""
+    arr = np.arange(float(np.prod(shape))).reshape(shape).copy()
+    arr.flags.writeable = False
+    return arr
+
+
+class TestFloatArrayCopies:
+    """``as_float_array`` skips its copy only for an array that nothing can
+    change: read-only through its whole base chain, down to an owning array."""
+
+    def test_frozen_owning_array_is_kept(self):
+        arr = _frozen((3, 2))
+        assert as_float_array(arr, "a", 2) is arr
+        assert ShapleyMatrix(phi=arr, phi0=None).phi is arr
+
+    def test_read_only_view_of_frozen_array_is_kept(self):
+        table = _frozen((4, 3))
+        phi = ShapleyMatrix(phi=table[:, 1:], phi0=None).phi
+        assert np.shares_memory(phi, table) and not phi.flags.writeable
+
+    def test_writeable_array_is_copied(self):
+        arr = np.arange(6.0).reshape(3, 2)
+        out = as_float_array(arr, "a", 2)
+        assert out is not arr and not np.shares_memory(out, arr)
+        assert not out.flags.writeable and arr.flags.writeable
+
+    def test_read_only_view_of_writeable_base_is_copied(self):
+        base = np.arange(6.0).reshape(3, 2)
+        view = base[:, :]
+        view.flags.writeable = False
+        matrix = ShapleyMatrix(phi=view, phi0=None)
+        base[:] = -1.0
+        assert matrix.phi.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def test_buffer_backed_array_is_copied(self):
+        arr = np.frombuffer(np.arange(4.0).tobytes(), dtype=float)
+        assert not arr.flags.writeable
+        out = as_float_array(arr, "a", 1)
+        assert out is not arr and not np.shares_memory(out, arr)
+        assert out.base is None and not out.flags.writeable
