@@ -5,7 +5,10 @@ Contracts:
 * reports are JSON on stdout by default (``--out`` redirects to a file); CSV
   artifacts always require explicit paths,
 * outputs are all or nothing: a run that fails creates or changes none of
-  its output files; stdout is written last, after the files are replaced,
+  its output files, and no two name one file (a device or a pipe may take
+  several); stdout is written last, after the files are replaced,
+* CSV outputs are written by :mod:`csv` in the readers' dialect, so an
+  ``--emit-shap`` file reads back into ``decompose`` whatever its header,
 * exit codes: 0 success, 2 input/validation error, 3 numerical failure or
   out of memory,
 * with fixed seeds, output bytes are identical across runs; ``--threads``
@@ -35,6 +38,7 @@ import stat
 import sys
 import tempfile
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -255,9 +259,14 @@ def _publish(outputs: list[tuple[str | None, str]]) -> None:
 
     Each file is written to a temporary sibling of its destination. Once all
     are written, every temporary file replaces its destination, and then
-    stdout, devices and pipes get their text. On an error, the temporary
-    files are removed, and no destination is created or changed.
+    stdout, devices and pipes get their text (two files may not share a
+    destination). On an error, the temporary files are removed, and no
+    destination is created or changed.
     """
+    targets = [os.path.realpath(path) for path, _ in outputs if path is not None]
+    for i, target in enumerate(targets):
+        if target in targets[:i] and (os.path.isfile(target) or not os.path.exists(target)):
+            raise ValidationError(f"cannot write {target}: two outputs name this file")
     temporaries: list[str | None] = []
     try:
         for path, text in outputs:
@@ -295,18 +304,11 @@ def _write_text(text: str, out_path: str | None, outputs: list) -> None:
     outputs.append((out_path, text))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
-
-
-def _write_csv(path: str, header: list[str], rows: list[tuple], outputs: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    outputs.append((path, "\n".join(lines) + "\n"))
+def _write_csv(path: str, header: list[str], rows: list, outputs: list) -> None:
+    # the writer quotes only the line breaks its terminator holds: end in "\r\n", then cut to "\n"
+    records: list[str] = []
+    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows([header, *rows])
+    outputs.append((path, "".join(record[:-2] + "\n" for record in records)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +403,8 @@ def cmd_explain(args, outputs: list) -> None:
     report = dumps(build_report(result, provenance))
     if args.emit_shap is not None:
         names = [f"phi_{name}" for name in matrix.feature_names]
-        rows = [
-            (
-                float(dataset.y[i]),
-                float(yhat[i]),
-                float(matrix.phi0),
-                *(float(v) for v in matrix.phi[i]),
-            )
-            for i in range(dataset.n_rows)
-        ]
-        _write_csv(args.emit_shap, ["y", "yhat", "phi0", *names], rows, outputs)
+        rows = np.column_stack([dataset.y, yhat, np.full(dataset.n_rows, matrix.phi0), matrix.phi])
+        _write_csv(args.emit_shap, ["y", "yhat", "phi0", *names], rows.tolist(), outputs)
     if args.emit_model is not None:
         _write_text(dumps(_model_document(model)), args.emit_model, outputs)
     _write_text(report, args.out, outputs)
@@ -600,7 +594,8 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
         outputs: list[tuple[str | None, str]] = []  # every command's text, before any is written
-        handlers[args.command](args, outputs)
+        with np.errstate(over="raise", invalid="raise"):  # no inf or nan reaches an output
+            handlers[args.command](args, outputs)
         _publish(outputs)
         return 0
     except Shapr2Error as exc:
@@ -608,9 +603,10 @@ def main(argv=None) -> int:
         # 2; every other error is a numerical failure and exits 3
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 3
-    except MemoryError as exc:  # a run too large for this machine: exit 3, no traceback
+    except (MemoryError, FloatingPointError) as exc:  # too large for this machine or a float: exit 3
+        problem = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
+        print(f"error: {problem}{detail}", file=sys.stderr)
         return 3
 
 

@@ -47,6 +47,16 @@ def as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def feature_names(names, width: int) -> tuple[str, ...]:
+    """``names`` as a tuple, checked to hold one name per column of a
+    ``width``-column matrix; ``x1`` .. ``x<width>`` when ``names`` is empty."""
+    if not names:
+        return tuple(f"x{i + 1}" for i in range(width))
+    if len(names) != width:
+        raise ShapeError(f"{len(names)} feature names for {width} columns")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus an optional outcome vector.
@@ -69,16 +79,7 @@ class Dataset:
                     f"y has {y.shape[0]} rows but x has {x.shape[0]}"
                 )
             object.__setattr__(self, "y", y)
-        if not self.feature_names:
-            object.__setattr__(
-                self,
-                "feature_names",
-                tuple(f"x{i + 1}" for i in range(x.shape[1])),
-            )
-        elif len(self.feature_names) != x.shape[1]:
-            raise ShapeError(
-                f"{len(self.feature_names)} feature names for {x.shape[1]} columns"
-            )
+        object.__setattr__(self, "feature_names", feature_names(self.feature_names, x.shape[1]))
 
     @property
     def n_rows(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import as_float_array
+from .data import as_float_array, feature_names
 from .errors import DegenerateInput, ModelExplainsNothing, ShapeError
 
 PROVENANCES = ("exact", "sampled", "closed_form_linear", "ingested")
@@ -99,16 +99,7 @@ class ShapleyMatrix:
             object.__setattr__(self, "phi0", phi0)
         if self.provenance not in PROVENANCES:
             raise ShapeError(f"unknown provenance {self.provenance!r}")
-        if not self.feature_names:
-            object.__setattr__(
-                self,
-                "feature_names",
-                tuple(f"x{i + 1}" for i in range(phi.shape[1])),
-            )
-        elif len(self.feature_names) != phi.shape[1]:
-            raise ShapeError(
-                f"{len(self.feature_names)} feature names for {phi.shape[1]} columns"
-            )
+        object.__setattr__(self, "feature_names", feature_names(self.feature_names, phi.shape[1]))
 
     @property
     def n_rows(self) -> int:
@@ -177,11 +168,6 @@ class R2Decomposition:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-
-def _ranking(feature_r2: np.ndarray) -> tuple[int, ...]:
-    order = sorted(range(feature_r2.size), key=lambda f: (-feature_r2[f], f))
-    return tuple(order)
 
 
 def _checked_inputs(y, yhat, phi) -> tuple[np.ndarray, np.ndarray, ShapleyMatrix]:
@@ -298,7 +284,7 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
         variance_ratios=ratios,
         sigma_unique_raw=sigma_raw,
         sigma_unique=sigma,
-        ranking=_ranking(feature_r2),
+        ranking=tuple(sorted(range(feature_r2.size), key=lambda f: -feature_r2[f])),  # stable: ties by index
         feature_names=matrix.feature_names,
         all_features_null=null,
         warnings=tuple(warnings),

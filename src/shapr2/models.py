@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, has_json_type, json_floats
+from .data import Dataset, as_float_array, has_json_type, json_floats
 from .errors import (
     InvalidValue,
     NoValidSplit,
@@ -40,18 +40,15 @@ TUNE_TOLERANCE = 0.01
 
 @dataclass(frozen=True)
 class LinearModel:
+    """``intercept + coefficients @ x``; :func:`~shapr2.data.as_float_array` checks the coefficients."""
+
     intercept: float
     coefficients: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.coefficients, dtype=float)
-        if beta.ndim != 1:
-            raise ShapeError("coefficients must be a vector")
-        if not (np.all(np.isfinite(beta)) and math.isfinite(float(self.intercept))):
+        object.__setattr__(self, "coefficients", as_float_array(self.coefficients, "coefficients", 1))
+        if not math.isfinite(float(self.intercept)):
             raise InvalidValue("model parameters must be finite")
-        beta = beta.copy()
-        beta.flags.writeable = False
-        object.__setattr__(self, "coefficients", beta)
         object.__setattr__(self, "intercept", float(self.intercept))
 
     @property

@@ -219,14 +219,8 @@ def exact_shapley(
     # row m holds the bits of mask m: feature f is in coalition m iff bit f is set
     bits = ((np.arange(n_masks)[:, None] >> np.arange(n_features)) & 1).astype(bool)
     popcount = bits.sum(axis=1)
-    fact = [math.factorial(k) for k in range(n_features + 1)]
-    # weight of a coalition S (not containing f): |S|! (F-|S|-1)! / F!
-    size_weight = np.array(
-        [
-            fact[s] * fact[n_features - s - 1] / fact[n_features]
-            for s in range(n_features)
-        ]
-    )
+    # weight of a coalition S (not containing f): |S|! (F-|S|-1)! / F! = 1 / (F C(F-1, |S|))
+    size_weight = np.array([1 / (n_features * math.comb(n_features - 1, s)) for s in range(n_features)])
     masks_without = [np.flatnonzero(~bits[:, f]) for f in range(n_features)]
 
     base_value = float(_predict_batch(predictor, background.rows).mean())

@@ -2,7 +2,9 @@
 golden-file byte stability, and cross-run determinism."""
 
 import contextlib
+import csv
 import errno
+import io
 import json
 import os
 import stat
@@ -141,6 +143,20 @@ class TestDecompose:
         result = cli("decompose", str(path))
         assert (result.code, result.stdout) == (3, "")
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["y,yhat,phi_\n0,0,0\n0,0,0\n0,0,1.7877077239923462e+154\n1,0,0\n",
+         "yhat,y,phi_\n0,0,0\n0,0,0\n0,1.6421143998800675e+154,0\n"],
+        ids=["square", "reduce"],
+    )
+    def test_float_overflow_exits_three(self, cli, tmp_path, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text, encoding="utf-8")
+        result = cli("decompose", str(path))
+        assert (result.code, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: numerical failure: overflow encountered in ")
+        assert result.stderr.count("\n") == 1
 
     def test_phi0_column_additivity_warning(self, cli, tmp_path):
         path = tmp_path / "mismatch.csv"
@@ -302,6 +318,27 @@ class TestExplain:
         ]
         assert not decompose_doc["warnings"]  # additivity check passes
 
+    def test_emit_shap_roundtrip_with_quoted_feature_names(self, cli, tmp_path):
+        # each name holds a character that the csv dialect quotes
+        names = ["a,b", 'q"t', "line\nbreak", "cr\rname"]
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 4))
+        y = x @ [2.0, 1.0, 0.5, 0.0] + 0.3 * rng.standard_normal(30)
+        data, shap = tmp_path / "data.csv", tmp_path / "phi.csv"
+        with open(data, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([["y", *names], *np.column_stack([y, x]).tolist()])
+        assert b'"a,b","q""t","line\nbreak","cr\rname"' in data.read_bytes()
+        explained = cli("explain", str(data), "--target", "y", "--emit-shap", str(shap))
+        assert explained.code == 0, explained.stderr
+        again = cli("decompose", str(shap))
+        assert again.code == 0, again.stderr
+
+        def features(report):  # r2 kept as its text
+            return [(f["name"], f["r2"]) for f in json.loads(report, parse_float=str)["features"]]
+
+        assert features(again.stdout) == features(explained.stdout)
+        assert [name for name, _ in features(again.stdout)] == names
+
     def test_emit_model_roundtrip(self, cli, explain_csv, tmp_path):
         model_path = tmp_path / "model.json"
         result = cli(
@@ -455,6 +492,18 @@ class TestSimulate:
         assert len(lines) == 3
         assert all(line.split(",")[1] == "pair" for line in lines[1:])
 
+    def test_config_id_with_a_comma(self, cli, tmp_path):
+        config, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        config.write_text(json.dumps({
+            "rho_values": [0.0, 0.5], "n_samples": 40,
+            "coefficient_configs": [{"id": "a,b", "coefficients": [1.0, 1.0]}],
+        }), encoding="utf-8")
+        assert cli("simulate", "--config", str(config), "--out", str(out)).code == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [5, 5, 5]
+        assert [row[1] for row in rows[1:]] == ["a,b", "a,b"]
+
     def test_unknown_config_key(self, cli, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"rho": [0.0]}), encoding="utf-8")
@@ -560,6 +609,43 @@ class TestErrorPaths:
         assert result.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
         assert result.stdout == ""
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("explain", "{csv}", "--target", "outcome", "--emit-shap", "{tmp}/f",
+             "--emit-model", "{tmp}/f", "--out", "{tmp}/f"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "{tmp}/f",
+             "--summary-out", "{tmp}/f"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "{tmp}/f",
+             "--summary-out", "{tmp}/link"),
+        ],
+        ids=["explain", "simulate", "simulate-through-symlink"],
+    )
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_two_outputs_naming_one_file(self, cli, explain_csv, tmp_path, argv, existing):
+        target = tmp_path / "f"
+        (tmp_path / "link").symlink_to(target.name)
+        if existing:
+            target.write_text("old\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        result = cli(*[a.format(csv=explain_csv, tmp=tmp_path) for a in argv])
+        _assert_input_error(result)
+        assert result.stderr == f"error: cannot write {os.path.realpath(target)}: two outputs name this file\n"
+        assert result.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
+        if existing:
+            assert target.read_text(encoding="utf-8") == "old\n"
+
+    def test_outputs_may_share_a_device(self, cli, explain_csv):
+        for argv in (
+            ("explain", str(explain_csv), "--target", "outcome", "--emit-shap", os.devnull,
+             "--emit-model", os.devnull, "--out", os.devnull),
+            ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", os.devnull,
+             "--summary-out", os.devnull),
+        ):
+            result = cli(*argv)
+            assert (result.code, result.stdout, result.stderr) == (0, "", "")
 
     def test_out_to_a_device_writes_in_place(self, cli):
         result = cli("decompose", str(DATA_DIR / "golden_6row.csv"), "--out", os.devnull)
@@ -1095,6 +1181,56 @@ class TestBulkCsvParse:
         assert shared == {"adjacent": True, "interleaved": False}
         assert results[0][0] == 0 and "additivity violated" in results[0][1]
         assert all(result == results[0] for result in results)
+
+
+_DIGITS = st.integers(-9, 9).map(str)
+_NUMBERS = st.one_of(_DIGITS, st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format))
+
+
+@st.composite
+def _decompose_files(draw):
+    """CSV text: a header written by ``csv.writer``, with ``phi_`` names that
+    hold the characters the csv dialect quotes and at times a duplicate, a
+    ``phi0`` or an unknown column; then rows of raw cells (digits, any finite
+    float, or the ``_CELLS`` cells too), the last at times of the wrong width."""
+    names = st.text(st.sampled_from('ab,"\n\r '), max_size=3).map("phi_{}".format)
+    header = ["y", "yhat", *draw(st.lists(names, min_size=1, max_size=3, unique=True)),
+              *draw(st.lists(st.sampled_from(["y", "phi0", "x", "phi_a"]), max_size=1))]
+    cells = draw(st.sampled_from([_DIGITS, _NUMBERS, st.one_of(_NUMBERS, _CELLS)]))
+    rows = draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)),
+                         min_size=1, max_size=5))
+    width = len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    rows.append(draw(st.lists(cells, min_size=width, max_size=width)))
+    text = io.StringIO()
+    csv.writer(text).writerow(draw(st.permutations(header)))  # "\r\n" ends it, so "\r" is quoted
+    return text.getvalue() + "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestCliBoundary:
+    """``decompose`` on generated CSV files keeps the CLI contract."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_decompose_files())
+    def test_decompose_contract(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("boundary")
+        path, out = work / "in.csv", work / "report.json"
+        path.write_text(text, encoding="utf-8", newline="")
+        result = run_cli("decompose", str(path))
+        to_file = run_cli("decompose", str(path), "--out", str(out))
+        assert result.code in (0, 2, 3)
+        assert (to_file.code, to_file.stdout, to_file.stderr) == (result.code, "", result.stderr)
+        if result.code:
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert not out.exists()
+            return
+        assert result.stderr == "" and out.read_text(encoding="utf-8") == result.stdout
+        report = json.loads(result.stdout)
+        r2 = [feature["r2"] for feature in report["features"]]
+        if any("feature-level shares are all zero" in w for w in report["warnings"]):
+            assert r2 == [0.0] * len(r2)  # the all-null outcome (README)
+        else:
+            assert abs(sum(r2) - report["baseline_r2"]) <= 1e-10
 
 
 def _owner(arr):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from shapr2 import metrics
-from shapr2.data import as_float_array
+from shapr2.data import Dataset, as_float_array
 from shapr2 import (
     ShapleyMatrix,
     baseline_r2,
@@ -233,6 +233,15 @@ class TestFeatureR2Decomposition:
         result = feature_r2_decomposition(GOLDEN_Y, GOLDEN_YHAT, phi)
         assert result.feature_r2[0] == result.feature_r2[1]
         assert result.ranking == (2, 0, 1)
+
+    @pytest.mark.parametrize("build", [lambda a, names: Dataset(a, feature_names=names),
+                                       lambda a, names: ShapleyMatrix(a, None, names)],
+                             ids=["dataset", "matrix"])
+    def test_feature_names_default_and_count(self, build):
+        assert build(np.zeros((2, 3)), ()).feature_names == ("x1", "x2", "x3")
+        assert build(np.zeros((2, 2)), ["a", "b"]).feature_names == ("a", "b")
+        with pytest.raises(ShapeError, match="^2 feature names for 3 columns$"):
+            build(np.zeros((2, 3)), ("a", "b"))
 
     def test_degenerate_outcome_rejected(self):
         with pytest.raises(DegenerateInput):
