@@ -115,18 +115,23 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray] | None:
     differently. ``loadtxt`` skips blank lines and rejects some cells that
     ``float()`` accepts (full-width digits) and reads fields of any length, so
     an error, a non-finite value, a line longer than the scan's field limit, a
-    width other than the header's or fewer rows than body lines decline."""
+    width other than the header's or fewer rows than body lines decline. The
+    body lines are the file's lines after those the header spans: a quoted
+    header name may hold a line break."""
     if not os.path.isfile(path):  # a pipe can be read only once: the scan reads it
         return None
     try:
-        # lines after the header; universal newlines read "\r\n" and "\r" as "\n"
-        lines, longest = -1, 0
+        # lines split at "\r\n", "\r" and "\n", as they are for the csv reader, whose
+        # line_num then counts the lines the header spans
+        lines, longest = 0, 0
         with open(path, encoding="utf-8") as handle:
-            for lines, line in enumerate(handle):
+            for lines, line in enumerate(handle, 1):
                 if len(line) > longest:  # cheaper per line than max()
                     longest = len(line)
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            header = [name.strip() for name in next(csv.reader(handle), [])]
+            reader = csv.reader(handle)
+            header = [name.strip() for name in next(reader, [])]
+            lines -= reader.line_num
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty body warns; the row count shows it
                 table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
@@ -259,14 +264,10 @@ def _publish(outputs: list[tuple[str | None, str]]) -> None:
 
     Each file is written to a temporary sibling of its destination. Once all
     are written, every temporary file replaces its destination, and then
-    stdout, devices and pipes get their text (two files may not share a
-    destination). On an error, the temporary files are removed, and no
-    destination is created or changed.
+    stdout, devices and pipes get their text (no two files share a
+    destination: :func:`_check_destinations` has run). On an error, the
+    temporary files are removed, and no destination is created or changed.
     """
-    targets = [os.path.realpath(path) for path, _ in outputs if path is not None]
-    for i, target in enumerate(targets):
-        if target in targets[:i] and (os.path.isfile(target) or not os.path.exists(target)):
-            raise ValidationError(f"cannot write {target}: two outputs name this file")
     temporaries: list[str | None] = []
     try:
         for path, text in outputs:
@@ -297,6 +298,21 @@ def _publish(outputs: list[tuple[str | None, str]]) -> None:
         for temporary in temporaries:
             if temporary is not None and os.path.lexists(temporary):
                 os.remove(temporary)
+
+
+#: The options that name an output file, on any command.
+_OUTPUT_OPTIONS = ("emit_shap", "emit_model", "out", "summary_out")
+
+
+def _check_destinations(args) -> None:
+    """Reject two outputs of one run that name one file, with symlinks
+    resolved; a device or a pipe may take several. Runs before any input is
+    read, since the command line alone shows the collision."""
+    paths = [getattr(args, name, None) for name in _OUTPUT_OPTIONS]
+    targets = [os.path.realpath(path) for path in paths if path is not None]
+    for i, target in enumerate(targets):
+        if target in targets[:i] and (os.path.isfile(target) or not os.path.exists(target)):
+            raise ValidationError(f"cannot write {target}: two outputs name this file")
 
 
 def _write_text(text: str, out_path: str | None, outputs: list) -> None:
@@ -593,6 +609,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
+        _check_destinations(args)
         outputs: list[tuple[str | None, str]] = []  # every command's text, before any is written
         with np.errstate(over="raise", invalid="raise"):  # no inf or nan reaches an output
             handlers[args.command](args, outputs)

@@ -168,27 +168,42 @@ def _block(n_masks: int, n_bg: int, n_features: int) -> np.ndarray:
     return np.empty((max(1, min(n_masks, _BATCH_ROW_LIMIT // n_bg)), n_bg, n_features))
 
 
-def _coalition_values(predictor: Predictor, row: np.ndarray, bits: np.ndarray, rows: np.ndarray,
-                      index: np.ndarray | None = None, block: np.ndarray | None = None) -> np.ndarray:
-    """Coalition values of one instance for every row of a K x F mask matrix.
+def _coalition_values(predictor: Predictor, x: np.ndarray, bits: np.ndarray, rows: np.ndarray,
+                      index: np.ndarray | None = None, block: np.ndarray | None = None,
+                      instance: np.ndarray | None = None) -> np.ndarray:
+    """Coalition values for every row of a K x F mask matrix.
 
     Value ``k`` is the mean prediction over a background with the columns
-    set in ``bits[k]`` replaced by ``row``, over the B x F ``rows`` or, with
-    ``index``, over ``rows[index[k]]``. Each chunk of masks is one predictor
-    call, built in ``block`` (from :func:`_block`), which a caller evaluating
-    many instances passes so that it is allocated and faulted in only once.
+    set in ``bits[k]`` replaced by an instance's values, over the B x F
+    ``rows`` or, with ``index``, over ``rows[index[k]]``. The instance is the
+    row ``x`` or, with ``instance``, row ``instance[k]`` of the N x F matrix
+    ``x``; the masks of one instance are then consecutive. Each chunk of
+    masks is built in ``block`` (from :func:`_block`), which a caller
+    evaluating many chunks passes so that it is allocated and faulted in
+    only once, and each instance's part of a chunk is one predictor call: a
+    predictor may round a row by the size of its call (a BLAS product does),
+    so no call mixes instances.
     """
     n_bg = rows.shape[0] if index is None else index.shape[1]
+    n_features = bits.shape[1]
     if block is None:
-        block = _block(bits.shape[0], n_bg, row.shape[0])
+        block = _block(bits.shape[0], n_bg, n_features)
     per_call = block.shape[0]
     values = np.empty(bits.shape[0])
     for start in range(0, bits.shape[0], per_call):
         chunk = slice(start, start + per_call)
         part = block[: bits[chunk].shape[0]]
         part[...] = rows if index is None else rows[index[chunk]]
-        np.copyto(part, row, where=bits[chunk, None, :])
-        batch = _predict_batch(predictor, part.reshape(-1, row.shape[0]))
+        if instance is None:
+            np.copyto(part, x, where=bits[chunk, None, :])
+            cuts = [0, part.shape[0]]
+        else:
+            owner = instance[chunk]
+            np.copyto(part, x[owner, None], where=bits[chunk, None, :])
+            cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), part.shape[0]]
+        flat = part.reshape(-1, n_features)
+        batch = np.concatenate([_predict_batch(predictor, flat[first * n_bg:end * n_bg])
+                                for first, end in zip(cuts, cuts[1:])])
         values[chunk] = batch.reshape(-1, n_bg).mean(axis=1)
     return values
 
@@ -261,12 +276,17 @@ def sampled_shapley(
     stream keyed by ``seed XOR i``; output is bit-identical for a fixed
     config.
 
-    An instance's M permutations are drawn up front and their proper
-    prefixes form one mask matrix; each distinct prefix is evaluated once.
-    With ``background_subsample`` set, each permutation instead evaluates its
-    prefixes against a fresh seeded subsample of the background (cost control
-    for large backgrounds); the chain stays anchored at the full-background
-    base value so additivity is preserved.
+    Instances are evaluated in blocks: as many as have their M (F - 1)
+    prefix masks, each against the background or its subsample, fit in
+    ``_BATCH_ROW_LIMIT`` predictor rows, and at least one. A block's draws
+    run instance by instance; then its masks go to :func:`_coalition_values`
+    together and its contributions telescope in one pass. A predictor call
+    never mixes instances, and the prediction for ``x`` itself is a call of
+    its own, so every call is one that evaluating the instance alone makes.
+    Each instance's distinct prefixes are evaluated once. With ``background_subsample`` set, each permutation
+    instead evaluates its prefixes against a fresh seeded subsample of the
+    background (cost control for large backgrounds); the chain stays
+    anchored at the full-background base value so additivity is preserved.
     """
     if config is None:
         raise InvalidValue("sampled_shapley requires a SamplingConfig")
@@ -278,37 +298,68 @@ def sampled_shapley(
 
     base_value = float(_predict_batch(predictor, background.rows).mean())
     bg = background.rows
+    n_rows = background.size
     n_perms = config.permutations_per_instance
     seed = int(config.seed)
 
     n_prefix = n_features - 1
+    n_bg = n_rows if sub is None else sub
+    # either a block's masks fit one chunk of _coalition_values or the block is
+    # one instance, so each instance's predictor calls are those it makes alone;
+    # with F = 1 there are no masks, and the bound holds the drawn subsets
+    per_block = max(1, _BATCH_ROW_LIMIT // (n_perms * max(1, n_prefix) * n_bg))
+    block = _block(per_block * n_perms * n_prefix, n_bg, n_features)
+    # one Philox, re-keyed per instance: the state of Philox(key=seed ^ i),
+    # without the OS entropy that constructor draws for a seed it ignores
+    bit_generator = np.random.Philox(key=0)
+    keyed = bit_generator.state
     phi = np.empty(x.shape)
-    for i, row in enumerate(x):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ i)))
-        subsets = []
-        perms = np.empty((n_perms, n_features), dtype=np.intp)
-        for m in range(n_perms):
-            if sub is not None:
-                subsets.append(rng.choice(background.size, size=sub, replace=False))
-            perms[m] = rng.permutation(n_features)
-        # prefix p of permutation m holds the features at positions 0..p
-        position = np.argsort(perms, axis=1)
-        bits = (position[:, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
+    for first in range(0, x.shape[0], per_block):
+        x_block = x[first:first + per_block]
+        n = x_block.shape[0]
+        perms = np.empty((n, n_perms, n_features), dtype=np.intp)
+        perms[...] = np.arange(n_features)
+        subsets = np.empty((n, n_perms, sub or 0), dtype=np.intp)
+        for j in range(n):
+            keyed["state"]["key"][0] = seed ^ (first + j)
+            bit_generator.state = keyed
+            rng = np.random.Generator(bit_generator)
+            for m in range(n_perms):
+                if sub is not None:
+                    subsets[j, m] = rng.choice(n_rows, size=sub, replace=False)
+                # shuffling arange(F) in place draws what rng.permutation(F) draws
+                rng.shuffle(perms[j, m])
+        # prefix p of permutation m holds the features at positions 0..p; the
+        # block's masks run instance by instance, permutation by permutation
+        position = np.argsort(perms, axis=2)
+        bits = (position[:, :, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
+        instance = np.repeat(np.arange(n), n_perms * n_prefix)
         if sub is None:
-            unique, inverse = np.unique(bits, axis=0, return_inverse=True)
-            chain = _coalition_values(predictor, row, unique, bg)[inverse.reshape(-1)]
+            # each distinct (instance, mask) once, compared as bytes with the
+            # instance first: an instance's masks stay together, in the order
+            # np.unique(axis=0) gives them for that instance alone
+            keys = np.empty((bits.shape[0], 8 + n_features), dtype=np.uint8)
+            keys[:, :8] = instance.astype(">u8")[:, None].view(np.uint8)
+            keys[:, 8:] = bits
+            _, distinct, inverse = np.unique(
+                keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
+            )
+            values = _coalition_values(predictor, x_block, bits[distinct], bg, block=block,
+                                       instance=instance[distinct])
+            chain = values[inverse]
         else:
-            index = np.repeat(np.array(subsets), n_prefix, axis=0)
-            chain = _coalition_values(predictor, row, bits, bg, index)
-        path = np.empty((n_perms, n_features + 1))
-        path[:, 0] = base_value
-        path[:, 1:-1] = chain.reshape(n_perms, n_prefix)
-        path[:, -1] = _predict_batch(predictor, row[None])[0]
-        # np.add.at adds unbuffered in C order: the same additions, in the same
-        # order, as walking each permutation position by position
-        contrib = np.zeros(n_features)
-        np.add.at(contrib, perms, np.diff(path, axis=1))
-        phi[i] = contrib / n_perms
+            index = np.repeat(subsets.reshape(-1, sub), n_prefix, axis=0)
+            chain = _coalition_values(predictor, x_block, bits, bg, index, block, instance)
+        path = np.empty((n, n_perms, n_features + 1))
+        path[..., 0] = base_value
+        path[..., 1:-1] = chain.reshape(n, n_perms, n_prefix)
+        # one row per call: a predictor may round one row apart from many
+        path[..., -1] = np.array([_predict_batch(predictor, row[None])[0] for row in x_block])[:, None]
+        # np.add.at adds unbuffered in C order: per instance, the same additions
+        # in the same order as walking each permutation position by position
+        contrib = np.zeros((n, n_features))
+        np.add.at(contrib, (np.arange(n)[:, None, None], perms), np.diff(path, axis=2))
+        phi[first:first + n] = contrib / n_perms
 
     return ShapleyMatrix(
         phi=phi,

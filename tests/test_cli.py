@@ -619,8 +619,11 @@ class TestErrorPaths:
              "--summary-out", "{tmp}/f"),
             ("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "{tmp}/f",
              "--summary-out", "{tmp}/link"),
+            # the collision is reported before any input is read
+            ("explain", "{tmp}/missing.csv", "--target", "outcome", "--emit-shap", "{tmp}/f",
+             "--out", "{tmp}/f"),
         ],
-        ids=["explain", "simulate", "simulate-through-symlink"],
+        ids=["explain", "simulate", "simulate-through-symlink", "explain-missing-input"],
     )
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_two_outputs_naming_one_file(self, cli, explain_csv, tmp_path, argv, existing):
@@ -1037,9 +1040,13 @@ _LOADER_CASES = {
     "not-utf8": b"y,yhat,phi_a\n1,1.5,\xe9\n2,2.5,0\n",
     # loadtxt reads a field of any length; the scan's csv reader caps it at 131,072
     "long-field": "y,yhat,phi_a\n1,1.5,-1\n2,2.5," + "0" * 200_000 + "\n4,3,1\n",
+    # a header that spans two lines, as --emit-shap writes for a name holding a line break
+    "line-break-in-header": 'y,yhat,"phi_a\nz"\n' + _BODY,
+    "crlf-in-header": ('y,yhat,"phi_a\nz"\n' + _BODY).replace("\n", "\r\n"),
 }
 #: The cases the fast path reads itself.
-_FAST_CASES = ("plain", "crlf", "cr-only", "no-final-newline", "quoted-cell", "byte-order-mark")
+_FAST_CASES = ("plain", "crlf", "cr-only", "no-final-newline", "quoted-cell", "byte-order-mark",
+               "line-break-in-header", "crlf-in-header")
 
 
 _CELLS = st.one_of(

@@ -7,7 +7,9 @@ different code path from the engine's bitmask/batch implementation.
 """
 
 import math
+from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from shapr2 import (
     sampled_shapley,
 )
 from shapr2.errors import FeatureCountExceeded, InvalidValue, ShapeError
-from shapr2.models import Stump, StumpEnsemble
+from shapr2.models import LinearModel, Stump, StumpEnsemble
 
 
 def oracle_value(predictor, x, subset, bg_rows):
@@ -534,12 +536,15 @@ class TestEngineRegression:
         ds, bg = Dataset(x=_PIN_X4), BackgroundSet(_PIN_BG4)
         config = SamplingConfig(7, 9, subsample)
         wide = [exact_shapley(CubicPredictor(), ds, bg), sampled_shapley(CubicPredictor(), ds, bg, config)]
-        monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", 13)
-        counter = CountingPredictor(CubicPredictor())
-        narrow = [exact_shapley(counter, ds, bg), sampled_shapley(counter, ds, bg, config)]
-        for a, b in zip(wide, narrow):
-            assert np.array_equal(a.phi, b.phi) and a.phi0 == b.phi0
-        assert max(counter.batches) <= 13
+        # 13 splits an instance's masks into calls; 200 splits the instances
+        # into blocks (two and one with the subsample)
+        for limit in (13, 200):
+            monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", limit)
+            counter = CountingPredictor(CubicPredictor())
+            narrow = [exact_shapley(counter, ds, bg), sampled_shapley(counter, ds, bg, config)]
+            for a, b in zip(wide, narrow):
+                assert np.array_equal(a.phi, b.phi) and a.phi0 == b.phi0
+            assert max(counter.batches) <= limit
 
 
 _PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -623,3 +628,98 @@ class TestProperties:
         used = {s.feature_index for s in model.stumps}
         for j in set(range(x.shape[1])) - used:
             assert np.all(result.phi[:, j] == 0.0)
+
+
+def reference_sampled_shapley(predictor, x, background, config):
+    """The sampled engine as one loop per instance: the reference that the
+    batched engine must match bit for bit (phi, phi0 and predictor rows)."""
+    sub = background.subsample_size(config.background_subsample)
+    base_value = float(shapr2.shapley._predict_batch(predictor, background.rows).mean())
+    n_features, n_perms, n_prefix = x.shape[1], config.permutations_per_instance, x.shape[1] - 1
+    phi = np.empty(x.shape)
+    for i, row in enumerate(x):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed ^ i)))
+        subsets = []
+        perms = np.empty((n_perms, n_features), dtype=np.intp)
+        for m in range(n_perms):
+            if sub is not None:
+                subsets.append(rng.choice(background.size, size=sub, replace=False))
+            perms[m] = rng.permutation(n_features)
+        position = np.argsort(perms, axis=1)
+        bits = (position[:, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
+        if sub is None:
+            unique, inverse = np.unique(bits, axis=0, return_inverse=True)
+            chain = shapr2.shapley._coalition_values(predictor, row, unique, background.rows)
+            chain = chain[inverse.reshape(-1)]
+        else:
+            index = np.repeat(np.array(subsets), n_prefix, axis=0)
+            chain = shapr2.shapley._coalition_values(predictor, row, bits, background.rows, index)
+        path = np.empty((n_perms, n_features + 1))
+        path[:, 0] = base_value
+        path[:, 1:-1] = chain.reshape(n_perms, n_prefix)
+        path[:, -1] = shapr2.shapley._predict_batch(predictor, row[None])[0]
+        contrib = np.zeros(n_features)
+        np.add.at(contrib, perms, np.diff(path, axis=1))
+        phi[i] = contrib / n_perms
+    return phi, base_value
+
+
+class RecordingPredictor(CountingPredictor):
+    """Also keeps the rows of every call, as bytes."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = []
+
+    def predict_batch(self, rows):
+        self.calls.append(rows.tobytes())
+        return super().predict_batch(rows)
+
+
+_WIDE_RNG = np.random.default_rng(99)
+# F = 9: OpenBLAS rounds the rows in the remainder of a call apart from the rest
+_WIDE_X, _WIDE_BG = _WIDE_RNG.standard_normal((4, 9)), _WIDE_RNG.standard_normal((6, 9))
+# F = 2 and one background row: each instance's one prefix is a one-row call,
+# which numpy computes on a path of its own
+_NARROW_X, _NARROW_BG = _WIDE_RNG.standard_normal((5, 2)), _WIDE_RNG.standard_normal((1, 2))
+
+
+class TestBatchedMatchesReference:
+    """The block-batched engine against :func:`reference_sampled_shapley`:
+    the same phi and phi0 bit for bit, from the same predictor calls."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=instances_and_background(max_rows=7),
+        n_perms=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        k=st.one_of(st.none(), st.integers(1, 6)),
+        linear=st.booleans(),
+        limit=st.sampled_from([8192, 40, 7, 1]),
+    )
+    # the pinned F = 1 cases, with and without a subsample
+    @example(data=(_PIN_X1, _PIN_BG1), n_perms=5, seed=123, k=None, linear=False, limit=8192)
+    @example(data=(_PIN_X1, _PIN_BG1), n_perms=5, seed=123, k=3, linear=False, limit=8192)
+    # predictors that round a row by the size of its call
+    @example(data=(_WIDE_X, _WIDE_BG), n_perms=3, seed=5, k=None, linear=True, limit=8192)
+    @example(data=(_WIDE_X, _WIDE_BG), n_perms=3, seed=5, k=5, linear=True, limit=8192)
+    @example(data=(_NARROW_X, _NARROW_BG), n_perms=1, seed=8, k=None, linear=True, limit=8192)
+    def test_bit_for_bit(self, data, n_perms, seed, k, linear, limit):
+        x, bg = data
+        # K = None, 1 <= K < B, or K = B (the whole background)
+        subsample = None if k is None else min(k, bg.shape[0])
+        if linear:
+            inner = LinearModel(0.25, np.linspace(-1.0, 2.0, x.shape[1]))
+        else:
+            inner = WavePredictor(x.shape[1])
+        config, ds, background = SamplingConfig(n_perms, seed, subsample), Dataset(x=x), BackgroundSet(bg)
+        expected, recorded = RecordingPredictor(inner), RecordingPredictor(inner)
+        # a small limit splits the instances into blocks and a block's masks into chunks
+        with mock.patch.object(shapr2.shapley, "_BATCH_ROW_LIMIT", limit):
+            phi, phi0 = reference_sampled_shapley(expected, x, background, config)
+            result = sampled_shapley(recorded, ds, background, config)
+        assert np.array_equal(result.phi, phi) and result.phi0 == phi0
+        assert recorded.rows == expected.rows
+        assert Counter(recorded.calls) == Counter(expected.calls)
+        # a call holds at least one mask; the base value is one call on the background
+        assert max(recorded.batches) <= max(limit, bg.shape[0])
