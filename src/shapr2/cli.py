@@ -331,6 +331,11 @@ def _write_csv(path: str, header: list[str], rows: list, outputs: list) -> None:
 # Subcommands
 
 
+def _provenance(args, options: dict, seed: int | None) -> dict:
+    """The report's record of the run: command, input, semantic options, seed, version."""
+    return {"command": args.command, "input": args.csv, "options": options, "seed": seed, "version": VERSION}
+
+
 def cmd_decompose(args, outputs: list) -> None:
     y, yhat, matrix = _load_decompose_input(args.csv, args.phi0)
     extra_warnings: list[str] = []
@@ -343,17 +348,8 @@ def cmd_decompose(args, outputs: list) -> None:
                 f"not match the model that produced yhat"
             )
     result = decompose(y, yhat, matrix, eq7_as_printed=args.eq7_as_printed)
-    provenance = {
-        "command": "decompose",
-        "input": args.csv,
-        "options": {
-            "phi0": args.phi0,
-            "eq7_as_printed": args.eq7_as_printed,
-        },
-        "seed": None,
-        "version": VERSION,
-    }
-    report = build_report(result, provenance, tuple(extra_warnings))
+    options = {"phi0": args.phi0, "eq7_as_printed": args.eq7_as_printed}
+    report = build_report(result, _provenance(args, options, None), tuple(extra_warnings))
     _write_text(dumps(report), args.out, outputs)
 
 
@@ -409,14 +405,7 @@ def cmd_explain(args, outputs: list) -> None:
         "background_subsample": args.background_subsample,
         "eq7_as_printed": args.eq7_as_printed,
     }
-    provenance = {
-        "command": "explain",
-        "input": args.csv,
-        "options": options,
-        "seed": args.seed,
-        "version": VERSION,
-    }
-    report = dumps(build_report(result, provenance))
+    report = dumps(build_report(result, _provenance(args, options, args.seed)))
     if args.emit_shap is not None:
         names = [f"phi_{name}" for name in matrix.feature_names]
         rows = np.column_stack([dataset.y, yhat, np.full(dataset.n_rows, matrix.phi0), matrix.phi])
@@ -460,7 +449,7 @@ def _read_config(path: str) -> dict:
         records = settings["coefficient_configs"]
         if not isinstance(records, list) or not all(isinstance(c, dict) for c in records):
             raise ValidationError(
-                "coefficient_configs must be a list of "
+                f"{path}: coefficient_configs must be a list of "
                 '{"id": ..., "coefficients": [...]} records'
             )
         for c in records:

@@ -17,7 +17,7 @@ per-stump sum to about 1e-15 relative, not bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -154,15 +154,7 @@ def model_document(model) -> dict:
             "init_value": model.init_value,
             "learning_rate": model.learning_rate,
             "n_features": model.n_features,
-            "stumps": [
-                {
-                    "feature_index": s.feature_index,
-                    "threshold": s.threshold,
-                    "left_value": s.left_value,
-                    "right_value": s.right_value,
-                }
-                for s in model.stumps
-            ],
+            "stumps": [asdict(s) for s in model.stumps],
         }
     raise InvalidValue(f"cannot serialize model of type {type(model).__name__}")
 

@@ -155,7 +155,9 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
         return float(_predict_batch(predictor, row[None])[0])
     bits = np.zeros((1, row.shape[0]), dtype=bool)
     bits[0, idx] = True
-    return float(_coalition_values(predictor, row, bits, background.rows)[0])
+    values = _coalition_values(predictor, row[None], np.zeros(1, np.intp), bits, background.rows,
+                               _block(1, background.size, row.shape[0]))
+    return float(values[0])
 
 
 #: Upper bound on rows handed to one predict_batch call when evaluating
@@ -168,39 +170,29 @@ def _block(n_masks: int, n_bg: int, n_features: int) -> np.ndarray:
     return np.empty((max(1, min(n_masks, _BATCH_ROW_LIMIT // n_bg)), n_bg, n_features))
 
 
-def _coalition_values(predictor: Predictor, x: np.ndarray, bits: np.ndarray, rows: np.ndarray,
-                      index: np.ndarray | None = None, block: np.ndarray | None = None,
-                      instance: np.ndarray | None = None) -> np.ndarray:
+def _coalition_values(predictor: Predictor, x: np.ndarray, instance: np.ndarray, bits: np.ndarray,
+                      rows: np.ndarray, block: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """Coalition values for every row of a K x F mask matrix.
 
     Value ``k`` is the mean prediction over a background with the columns
-    set in ``bits[k]`` replaced by an instance's values, over the B x F
-    ``rows`` or, with ``index``, over ``rows[index[k]]``. The instance is the
-    row ``x`` or, with ``instance``, row ``instance[k]`` of the N x F matrix
-    ``x``; the masks of one instance are then consecutive. Each chunk of
-    masks is built in ``block`` (from :func:`_block`), which a caller
-    evaluating many chunks passes so that it is allocated and faulted in
-    only once, and each instance's part of a chunk is one predictor call: a
-    predictor may round a row by the size of its call (a BLAS product does),
-    so no call mixes instances.
+    set in ``bits[k]`` replaced by the values of row ``instance[k]`` of the
+    N x F matrix ``x``; the masks of one instance are consecutive. The
+    background is the B x F ``rows`` or, with ``index``, ``rows[index[k]]``.
+    The masks are evaluated a chunk at a time in the scratch ``block`` (from
+    :func:`_block`, which fixes the chunk size and B), allocated once by the
+    caller so that it is faulted in only once. Each instance's part of a
+    chunk is one predictor call: a predictor may round a row by the size of
+    its call (a BLAS product does), so no call mixes instances.
     """
-    n_bg = rows.shape[0] if index is None else index.shape[1]
-    n_features = bits.shape[1]
-    if block is None:
-        block = _block(bits.shape[0], n_bg, n_features)
-    per_call = block.shape[0]
+    per_call, n_bg, n_features = block.shape
     values = np.empty(bits.shape[0])
     for start in range(0, bits.shape[0], per_call):
         chunk = slice(start, start + per_call)
-        part = block[: bits[chunk].shape[0]]
+        owner = instance[chunk]
+        part = block[: owner.shape[0]]
         part[...] = rows if index is None else rows[index[chunk]]
-        if instance is None:
-            np.copyto(part, x, where=bits[chunk, None, :])
-            cuts = [0, part.shape[0]]
-        else:
-            owner = instance[chunk]
-            np.copyto(part, x[owner, None], where=bits[chunk, None, :])
-            cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), part.shape[0]]
+        np.copyto(part, x[owner, None], where=bits[chunk, None, :])
+        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), part.shape[0]]
         flat = part.reshape(-1, n_features)
         batch = np.concatenate([_predict_batch(predictor, flat[first * n_bg:end * n_bg])
                                 for first, end in zip(cuts, cuts[1:])])
@@ -240,15 +232,17 @@ def exact_shapley(
 
     base_value = float(_predict_batch(predictor, background.rows).mean())
     block = _block(n_masks - 1, background.size, n_features)
+    instance = np.empty(n_masks - 1, dtype=np.intp)
 
     phi = np.empty(x.shape)
     values = np.empty(n_masks)
     values[0] = base_value
-    for i, row in enumerate(x):
+    for i in range(x.shape[0]):
         # every non-empty mask (the full one included) goes through the same
         # batched-mean path, so a provably ignored feature gets an exactly-zero
         # column: each of its coalition-value differences cancels bit-for-bit
-        values[1:] = _coalition_values(predictor, row, bits[1:], background.rows, block=block)
+        instance[:] = i
+        values[1:] = _coalition_values(predictor, x, instance, bits[1:], background.rows, block)
         for f in range(n_features):
             sel = masks_without[f]
             deltas = values[sel | (1 << f)] - values[sel]
@@ -283,10 +277,11 @@ def sampled_shapley(
     together and its contributions telescope in one pass. A predictor call
     never mixes instances, and the prediction for ``x`` itself is a call of
     its own, so every call is one that evaluating the instance alone makes.
-    Each instance's distinct prefixes are evaluated once. With ``background_subsample`` set, each permutation
-    instead evaluates its prefixes against a fresh seeded subsample of the
-    background (cost control for large backgrounds); the chain stays
-    anchored at the full-background base value so additivity is preserved.
+    Each instance's distinct prefixes are evaluated once. With
+    ``background_subsample`` set, each permutation instead evaluates its
+    prefixes against a fresh seeded subsample of the background (cost
+    control for large backgrounds); the chain stays anchored at the
+    full-background base value so additivity is preserved.
     """
     if config is None:
         raise InvalidValue("sampled_shapley requires a SamplingConfig")
@@ -344,12 +339,11 @@ def sampled_shapley(
             _, distinct, inverse = np.unique(
                 keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
             )
-            values = _coalition_values(predictor, x_block, bits[distinct], bg, block=block,
-                                       instance=instance[distinct])
+            values = _coalition_values(predictor, x_block, instance[distinct], bits[distinct], bg, block)
             chain = values[inverse]
         else:
             index = np.repeat(subsets.reshape(-1, sub), n_prefix, axis=0)
-            chain = _coalition_values(predictor, x_block, bits, bg, index, block, instance)
+            chain = _coalition_values(predictor, x_block, instance, bits, bg, block, index)
         path = np.empty((n, n_perms, n_features + 1))
         path[..., 0] = base_value
         path[..., 1:-1] = chain.reshape(n, n_perms, n_prefix)

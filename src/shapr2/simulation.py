@@ -195,8 +195,10 @@ def run_cell(
     """Simulate one cell: draw data, fit OLS, attribute, decompose.
 
     A non-positive-definite correlation matrix yields a skipped cell rather
-    than an error; all other failures propagate.
+    than an error; all other failures propagate. The sampling options are
+    checked first, whichever estimator runs.
     """
+    config = SamplingConfig(permutations, derive_seed(spec.seed, 3), background_subsample)
     try:
         x = sample_mvn(dataclasses.replace(spec, seed=derive_seed(spec.seed, 1)))
     except NonPositiveDefinite:
@@ -214,11 +216,6 @@ def run_cell(
     if estimator == "linear":
         matrix = linear_shapley(model.coefficients, model.intercept, dataset, background)
     elif estimator == "sampled":
-        config = SamplingConfig(
-            permutations_per_instance=permutations,
-            seed=derive_seed(spec.seed, 3),
-            background_subsample=background_subsample,
-        )
         matrix = sampled_shapley(model, dataset, background, config)
     else:
         raise InvalidValue(f"unknown estimator {estimator!r}")

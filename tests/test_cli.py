@@ -425,6 +425,25 @@ class TestExplain:
         second = cli(*argv)
         assert second.stdout == first.stdout
 
+    def test_target_only_csv(self, cli, tmp_path):
+        path = tmp_path / "target.csv"
+        write_csv(path, ["outcome"], [[1.0], [2.0], [3.0]])
+        result = cli("explain", str(path), "--target", "outcome")
+        _assert_input_error(result)
+        assert result.stderr == f"error: {path}: no feature columns besides the target\n"
+
+    def test_provenance_key_order(self, cli, explain_csv, monkeypatch):
+        explain = json.loads(cli("explain", str(explain_csv), "--target", "outcome").stdout)
+        monkeypatch.chdir(Path(__file__).parent)
+        decompose_doc = json.loads(cli("decompose", "data/golden_6row.csv").stdout)
+        for doc in (explain, decompose_doc):
+            assert list(doc["provenance"]) == ["command", "input", "options", "seed", "version"]
+        assert list(decompose_doc["provenance"]["options"]) == ["phi0", "eq7_as_printed"]
+        assert list(explain["provenance"]["options"]) == [
+            "target", "model", "learning_rate", "iterations", "target_r2", "sampled",
+            "permutations", "background_subsample", "eq7_as_printed",
+        ]
+
 
 class TestSimulate:
     def test_single_cell_uncorrelated(self, cli, tmp_path):
@@ -510,6 +529,30 @@ class TestSimulate:
         result = cli("simulate", "--config", str(config),
                      "--out", str(tmp_path / "g.csv"))
         assert result.code == 2
+
+    def test_config_records_not_a_list_names_file(self, cli, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text('{"coefficient_configs": 5}', encoding="utf-8")
+        result = cli("simulate", "--config", str(config), "--out", str(tmp_path / "g.csv"))
+        assert result.code == 2
+        assert result.stderr == (f"error: {config}: coefficient_configs must be a list of "
+                                 '{"id": ..., "coefficients": [...]} records\n')
+
+    @pytest.mark.parametrize("content, message", [(None, "cannot read "), ("{", "invalid JSON")],
+                             ids=["missing", "invalid-json"])
+    def test_config_file_unreadable(self, cli, tmp_path, content, message):
+        config = tmp_path / "grid.json"
+        if content is not None:
+            config.write_text(content, encoding="utf-8")
+        result = cli("simulate", "--config", str(config), "--out", str(tmp_path / "g.csv"))
+        _assert_input_error(result)
+        assert message in result.stderr and str(config) in result.stderr
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_empty_rho_list(self, cli, tmp_path):
+        result = cli("simulate", "--rhos", ",", "--out", str(tmp_path / "g.csv"))
+        _assert_input_error(result)
+        assert result.stderr == "error: rho_values is empty\n"
 
     def test_sampled_estimator_threads_deterministic(self, cli, tmp_path):
         args = (
@@ -1311,6 +1354,21 @@ class TestModelDocument:
         doc = json.loads(cli_module.dumps(cli_module._model_document(linear)))
         rebuilt = model_from_document(doc)
         assert rebuilt.intercept == 0.5 and rebuilt.coefficients.tolist() == [1.0, -2.0]
+
+    def test_document_bytes(self):
+        stumps = StumpEnsemble(0.25, (Stump(1, 0.5, -1.0, 2.0), Stump(0, -0.125, 3.0, -0.75)), 0.1, 2)
+        linear = LinearModel(0.5, np.array([1.0, -2.0]))
+        assert cli_module.dumps(cli_module._model_document(stumps)) == (
+            '{\n  "type": "stump_ensemble",\n  "init_value": 0.25,\n'
+            '  "learning_rate": 0.10000000000000001,\n  "n_features": 2,\n  "stumps": [\n'
+            '    {\n      "feature_index": 1,\n      "threshold": 0.5,\n'
+            '      "left_value": -1,\n      "right_value": 2\n    },\n'
+            '    {\n      "feature_index": 0,\n      "threshold": -0.125,\n'
+            '      "left_value": 3,\n      "right_value": -0.75\n    }\n  ]\n}\n'
+        )
+        assert cli_module.dumps(cli_module._model_document(linear)) == (
+            '{\n  "type": "linear",\n  "intercept": 0.5,\n  "coefficients": [\n    1,\n    -2\n  ]\n}\n'
+        )
 
     @pytest.mark.parametrize(
         "doc",

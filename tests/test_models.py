@@ -195,6 +195,12 @@ class TestStumpEnsemble:
         with pytest.raises(NoValidSplit):
             fit_stump_ensemble(Dataset(x=x, y=y), iterations=3)
 
+    def test_constant_feature_beside_varying_is_never_split(self):
+        x = np.column_stack([np.ones(10), np.arange(10.0)])
+        model = fit_stump_ensemble(Dataset(x=x, y=np.arange(10.0) ** 2), iterations=5)
+        assert len(model.stumps) == 5
+        assert all(s.feature_index == 1 for s in model.stumps)
+
     def test_validation(self):
         ds, _ = make_regression(seed=10)
         with pytest.raises(InvalidValue):

@@ -647,13 +647,19 @@ def reference_sampled_shapley(predictor, x, background, config):
             perms[m] = rng.permutation(n_features)
         position = np.argsort(perms, axis=1)
         bits = (position[:, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
+        # the instance alone: row[None], every mask on row 0, a block for all of its masks
         if sub is None:
             unique, inverse = np.unique(bits, axis=0, return_inverse=True)
-            chain = shapr2.shapley._coalition_values(predictor, row, unique, background.rows)
-            chain = chain[inverse.reshape(-1)]
+            block = shapr2.shapley._block(unique.shape[0], background.size, n_features)
+            chain = shapr2.shapley._coalition_values(
+                predictor, row[None], np.zeros(unique.shape[0], np.intp), unique, background.rows, block
+            )[inverse.reshape(-1)]
         else:
             index = np.repeat(np.array(subsets), n_prefix, axis=0)
-            chain = shapr2.shapley._coalition_values(predictor, row, bits, background.rows, index)
+            block = shapr2.shapley._block(bits.shape[0], sub, n_features)
+            chain = shapr2.shapley._coalition_values(
+                predictor, row[None], np.zeros(bits.shape[0], np.intp), bits, background.rows, block, index
+            )
         path = np.empty((n_perms, n_features + 1))
         path[:, 0] = base_value
         path[:, 1:-1] = chain.reshape(n_perms, n_prefix)

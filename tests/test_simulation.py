@@ -143,6 +143,11 @@ class TestRunCell:
         sampled = run_cell(cell_spec, estimator="sampled", permutations=200)
         assert abs(linear.sigma_unique - sampled.sigma_unique) <= 0.1
 
+    def test_sampling_options_checked_for_linear_estimator(self):
+        with pytest.raises(InvalidValue, match=r"^permutations must be >= 1$"):
+            run_cell(spec(0.0, n=30, noise_sd=1.0, seed=1), estimator="linear",
+                     permutations=0, background_subsample=10**6)
+
 
 class TestRunGrid:
     def test_all_skipped_grid(self):
@@ -178,6 +183,10 @@ class TestRunGrid:
         )
         (cell,), = grid.cells
         assert cell.status == "completed" and cell.spec.feature_count == 2
+
+    def test_explicit_noise_sd_reaches_every_cell(self):
+        grid = run_grid(GridSpec(rho_values=(0.0, -0.8), n_samples=30, noise_sd=0.25))
+        assert {cell.spec.noise_sd for row in grid.cells for cell in row} == {0.25}
 
     def test_feature_count_is_not_a_field(self):
         for cls in (GridSpec, UniformCorrelationSpec):
