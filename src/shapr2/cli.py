@@ -49,7 +49,7 @@ from .models import TUNE_TOLERANCE, check_boosting_options, fit_ols, fit_stump_e
 from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
 from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
-from .simulation import GridSpec, run_grid
+from .simulation import ESTIMATORS, GridSpec, run_grid
 
 #: Relative additivity gap beyond which an ingested phi0 triggers a warning.
 INGEST_ADDITIVITY_RTOL = 1e-6
@@ -210,11 +210,12 @@ def _cannot_write(path: str, exc: OSError) -> ValidationError:
     return ValidationError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _empty_sibling(path: str) -> str | None:
-    """Create an empty temporary file next to ``path``, with the mode a plain
-    ``open(path, "w")`` would leave ``path`` with, and return its name.
+def _stage(path: str, text: str, temporaries: list[str | None]) -> None:
+    """Write ``text`` to a new temporary file next to ``path``, with the mode a
+    plain ``open(path, "w")`` would leave ``path`` with, appending its name to
+    ``temporaries`` before writing, so that the caller removes it on any failure.
 
-    Returns None when ``path`` is a device or a pipe: replacing one would
+    Appends None when ``path`` is a device or a pipe: replacing one would
     swap it for a plain file, so it is written in place instead.
     """
     target = os.path.realpath(path)  # open() writes through symlinks too
@@ -230,14 +231,15 @@ def _empty_sibling(path: str) -> str | None:
         if not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         if not stat.S_ISREG(info.st_mode):
-            return None
+            temporaries.append(None)
+            return
         mode = stat.S_IMODE(info.st_mode)
-    fd, temporary = tempfile.mkstemp(
-        dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp"
-    )
-    os.fchmod(fd, mode)
-    os.close(fd)
-    return temporary
+    folder, name = os.path.split(target)
+    fd, temporary = tempfile.mkstemp(dir=folder, prefix=f".{name}.", suffix=".tmp")
+    temporaries.append(temporary)
+    with open(fd, "w", encoding="utf-8", newline="") as handle:
+        os.fchmod(fd, mode)
+        handle.write(text)
 
 
 def _write_stdout(text: str) -> None:
@@ -271,29 +273,21 @@ def _publish(outputs: list[tuple[str | None, str]]) -> None:
     temporaries: list[str | None] = []
     try:
         for path, text in outputs:
-            try:
-                temporary = None if path is None else _empty_sibling(path)
-                temporaries.append(temporary)
-                if temporary is not None:
-                    with open(temporary, "w", encoding="utf-8", newline="") as handle:
-                        handle.write(text)
-            except OSError as exc:
-                raise _cannot_write(path, exc) from exc
+            if path is None:
+                temporaries.append(None)
+            else:
+                _stage(path, text, temporaries)
         for (path, _), temporary in zip(outputs, temporaries):
             if temporary is not None:
-                try:
-                    os.replace(temporary, os.path.realpath(path))
-                except OSError as exc:
-                    raise _cannot_write(path, exc) from exc
+                os.replace(temporary, os.path.realpath(path))
         for (path, text), temporary in zip(outputs, temporaries):
             if path is None:
                 _write_stdout(text)
             elif temporary is None:
-                try:
-                    with open(path, "w", encoding="utf-8", newline="") as handle:
-                        handle.write(text)
-                except OSError as exc:
-                    raise _cannot_write(path, exc) from exc
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+    except OSError as exc:  # the loops leave ``path`` naming the output being handled
+        raise _cannot_write(path, exc) from exc
     finally:
         for temporary in temporaries:
             if temporary is not None and os.path.lexists(temporary):
@@ -579,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rhos", default=None, help="comma-separated correlation values (default -0.8..0.8 step 0.2)")
     p_sim.add_argument("--n-samples", type=int, default=None)
     p_sim.add_argument("--noise-sd", type=float, default=None)
-    p_sim.add_argument("--estimator", choices=("linear", "sampled"), default=None)
+    p_sim.add_argument("--estimator", choices=ESTIMATORS, default=None)
     p_sim.add_argument("--permutations", type=int, default=None)
     p_sim.add_argument("--background-subsample", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)

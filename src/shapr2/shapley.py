@@ -126,7 +126,10 @@ def _predict_batch(predictor: Predictor, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_dims(predictor: Predictor, x: np.ndarray, background: BackgroundSet) -> None:
+def _background(predictor: Predictor, x: np.ndarray, background: BackgroundSet | None) -> BackgroundSet:
+    """The input rule of every engine: the N x F ``x`` and the background, by
+    default ``BackgroundSet(x)``, have the predictor's F columns. Returns the background."""
+    background = BackgroundSet(x) if background is None else background
     if x.shape[1] != predictor.feature_count:
         raise ShapeError(
             f"dataset has {x.shape[1]} features but predictor expects "
@@ -136,6 +139,7 @@ def _check_dims(predictor: Predictor, x: np.ndarray, background: BackgroundSet) 
         raise ShapeError(
             f"background has {background.n_features} columns, dataset has {x.shape[1]}"
         )
+    return background
 
 
 def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSet) -> float:
@@ -145,9 +149,8 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
     replaced by the instance's values. The empty coalition is the mean
     background prediction; the full coalition is the prediction for ``x``.
     """
-    row = np.asarray(x, dtype=float)
-    if row.shape != (background.n_features,):
-        raise ShapeError("instance length does not match the background columns")
+    row = as_float_array(x, "instance", 1)
+    background = _background(predictor, row[None], background)
     idx = sorted(set(int(f) for f in coalition))
     if idx and not (0 <= idx[0] and idx[-1] < row.shape[0]):
         raise ShapeError("coalition contains out-of-range feature indices")
@@ -212,9 +215,8 @@ def exact_shapley(
     one bit-matrix row per non-empty mask; refuses when F exceeds
     ``EXACT_FEATURE_CAP`` and points at the sampled engine.
     """
-    background = background or BackgroundSet(dataset.x)
     x = dataset.x
-    _check_dims(predictor, x, background)
+    background = _background(predictor, x, background)
     n_features = x.shape[1]
     if n_features > EXACT_FEATURE_CAP:
         raise FeatureCountExceeded(
@@ -285,9 +287,8 @@ def sampled_shapley(
     """
     if config is None:
         raise InvalidValue("sampled_shapley requires a SamplingConfig")
-    background = background or BackgroundSet(dataset.x)
     x = dataset.x
-    _check_dims(predictor, x, background)
+    background = _background(predictor, x, background)
     n_features = x.shape[1]
     sub = background.subsample_size(config.background_subsample)
 
@@ -377,9 +378,8 @@ def linear_shapley(
     coalition value function is linear in the pinned features. The
     parameters must make a :class:`LinearModel` of the dataset's width.
     """
-    background = background or BackgroundSet(dataset.x)
     model = LinearModel(intercept, coefficients)
-    _check_dims(model, dataset.x, background)
+    background = _background(model, dataset.x, background)
     means = background.rows.mean(axis=0)
     phi = (dataset.x - means) * model.coefficients
     phi0 = model.intercept + float(model.coefficients @ means)

@@ -28,6 +28,9 @@ from .shapley import BackgroundSet, SamplingConfig, check_seed, derive_seed, lin
 #: non-positive-definite.
 PD_PIVOT_TOL = 1e-12
 
+#: The attribution estimators a simulation cell can run.
+ESTIMATORS = ("linear", "sampled")
+
 DEFAULT_RHO_VALUES = tuple(round(-0.8 + 0.2 * k, 10) for k in range(9))
 DEFAULT_COEFFICIENT_CONFIGS = (
     ("equal", (1.0, 1.0, 1.0)),
@@ -49,6 +52,17 @@ def _check_cell_values(rho: float, coefficients, noise_sd: float | None) -> None
         raise InvalidValue(f"noise_sd must be finite, got {noise_sd}")
     if noise_sd is not None and noise_sd < 0:
         raise InvalidValue("noise_sd must be >= 0")
+
+
+def _sampling_config(estimator, permutations, seed, background_subsample, n_samples) -> SamplingConfig:
+    """The rule on a cell's estimator options, whichever estimator runs: a name in
+    :data:`ESTIMATORS`, a valid :class:`SamplingConfig`, at most ``n_samples`` rows."""
+    if estimator not in ESTIMATORS:
+        raise InvalidValue(f"unknown estimator {estimator!r}")
+    config = SamplingConfig(permutations, seed, background_subsample)
+    if background_subsample is not None and background_subsample > n_samples:
+        raise InvalidValue(f"background_subsample {background_subsample} exceeds n_samples {n_samples}")
+    return config
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,7 @@ class GridSpec:
     seed: int = 0
     noise_sd: float | None = None  # None: ||coefficients||_2 per config, so the
     #                                population fit is 0.5 at rho = 0
-    estimator: str = "linear"  # "linear" | "sampled"
+    estimator: str = "linear"  # one of ESTIMATORS
     permutations: int = 200
     background_subsample: int | None = None
 
@@ -111,17 +125,9 @@ class GridSpec:
             for _, coefficients in self.coefficient_configs:
                 _check_cell_values(rho, coefficients, self.noise_sd)
         object.__setattr__(self, "rho_values", rhos)
-        if self.estimator not in ("linear", "sampled"):
-            raise InvalidValue(f"unknown estimator {self.estimator!r}")
         if not self.rho_values:
             raise InvalidValue("rho_values is empty")
-        # checked for every estimator, so an invalid value is never ignored
-        SamplingConfig(self.permutations, self.seed, self.background_subsample)
-        if self.background_subsample is not None and self.background_subsample > self.n_samples:
-            raise InvalidValue(
-                f"background_subsample {self.background_subsample} exceeds "
-                f"n_samples {self.n_samples}"
-            )
+        _sampling_config(self.estimator, self.permutations, self.seed, self.background_subsample, self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -195,10 +201,11 @@ def run_cell(
     """Simulate one cell: draw data, fit OLS, attribute, decompose.
 
     A non-positive-definite correlation matrix yields a skipped cell rather
-    than an error; all other failures propagate. The sampling options are
+    than an error; all other failures propagate. The estimator options are
     checked first, whichever estimator runs.
     """
-    config = SamplingConfig(permutations, derive_seed(spec.seed, 3), background_subsample)
+    config = _sampling_config(estimator, permutations, derive_seed(spec.seed, 3), background_subsample,
+                              spec.n_samples)
     try:
         x = sample_mvn(dataclasses.replace(spec, seed=derive_seed(spec.seed, 1)))
     except NonPositiveDefinite:
@@ -215,10 +222,8 @@ def run_cell(
 
     if estimator == "linear":
         matrix = linear_shapley(model.coefficients, model.intercept, dataset, background)
-    elif estimator == "sampled":
-        matrix = sampled_shapley(model, dataset, background, config)
     else:
-        raise InvalidValue(f"unknown estimator {estimator!r}")
+        matrix = sampled_shapley(model, dataset, background, config)
 
     result = decompose(y, yhat, matrix)
     return SimulationCell(

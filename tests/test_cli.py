@@ -6,6 +6,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -22,9 +23,11 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, run_cli
 from shapr2 import cli as cli_module
+from shapr2 import models
 from shapr2.errors import InvalidValue, Shapr2Error, ShapeError, ValidationError
 from shapr2.metrics import ShapleyMatrix, decompose
-from shapr2.models import LinearModel, Stump, StumpEnsemble, model_from_document
+from shapr2.models import LinearModel, Stump, StumpEnsemble, model_document, model_from_document
+from shapr2.report import dumps
 
 GOLDEN_REPORT = DATA_DIR / "golden_report.json"
 
@@ -734,6 +737,17 @@ class TestErrorPaths:
         assert (result.returncode, result.stderr) == (
             2, f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_device_write_fails_after_files_are_replaced(self, cli, explain_csv, tmp_path):
+        phi = tmp_path / "phi.csv"
+        result = cli("explain", str(explain_csv), "--target", "outcome", "--emit-shap", str(phi),
+                     "--out", "/dev/full")
+        assert (result.code, result.stdout, result.stderr) == (
+            2, "", f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
+        # files are replaced before devices are written (README)
+        assert phi.read_text(encoding="utf-8").startswith("y,yhat,phi0,")
+        assert sorted(tmp_path.iterdir()) == [explain_csv, phi]
+
     def test_stdout_closed(self):
         # the shell starts the child with file descriptor 1 closed
         result = _decompose_golden_in_child(wrap=["sh", "-c", 'exec "$@" >&-', "sh"])
@@ -1256,8 +1270,157 @@ def _decompose_files(draw):
     return text.getvalue() + "".join(",".join(row) + "\n" for row in rows)
 
 
+def _flag(name, values):
+    """``[]`` or ``[name, value]`` for a value drawn from ``values``; None is no flag."""
+    return st.one_of(st.just([]), values.map(lambda v: [] if v is None else [name, str(v)]))
+
+
+def _mostly(valid, invalid):
+    """One of the ``valid`` values, or now and then one of the ``invalid`` ones,
+    so that most runs get past the option checks."""
+    return st.sampled_from([*valid] * 8 + [*invalid])
+
+
+def _lists(values, sizes, unique=False):
+    """Lists of ``values`` whose length is drawn from ``sizes``."""
+    return sizes.flatmap(lambda n: st.lists(values, min_size=n, max_size=n, unique=unique))
+
+
+def _path(name):
+    """The value of an output option: stdout (None) or a new file ``name``; now
+    and then a file that holds "old\n", one another option may name too, one
+    in a missing directory, or a device."""
+    return _mostly([None, "{dir}/" + name], ["{dir}/old.out", "{dir}/missing/x.out", os.devnull])
+
+
+@st.composite
+def _explain_runs(draw):
+    """CSV text with a target ``t`` and up to 3 features, at times a duplicate
+    name, and up to 8 rows of small numbers (at times the ``_CELLS`` cells too),
+    the last at times of the wrong width; then explain's argv for it, each flag
+    absent or with a valid or an invalid value."""
+    header = ["t", *draw(_lists(st.sampled_from("abc"), _mostly([1, 2, 3], [0]), unique=True))]
+    if draw(_mostly([False], [True])):
+        header.append(draw(st.sampled_from(header)))
+    header = draw(st.permutations(header))
+    small = st.one_of(_DIGITS, st.floats(-10, 10).map("{:.17g}".format))
+    cells = draw(st.sampled_from([small] * 4 + [st.one_of(small, _CELLS)]))
+    rows = draw(_lists(_lists(cells, st.just(len(header))), _mostly([4, 5, 6, 7], [0, 1, 2, 3])))
+    width = len(header) + draw(_mostly([0], [-1, 1]))
+    rows.append(draw(st.lists(cells, min_size=width, max_size=width)))
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    model = draw(st.sampled_from(["ols", "stumps"]))
+    groups = [
+        ["--target", draw(_mostly(["t"], ["a", "z"]))],
+        ["--model", model],
+        draw(_flag("--iterations", _mostly([1, 5, 20], [0, -1]))),
+        draw(_flag("--learning-rate", _mostly(["0.1", "0.5", "1"], ["0", "1.5", "nan"]))),
+        # a target fit is only for stumps
+        draw(_flag("--target-r2", _mostly(["0.3", "0.8"], ["0", "1", "nan"]) if model == "stumps"
+                   else _mostly([None], ["0.3"]))),
+        draw(st.sampled_from([[], ["--sampled"]])),
+        draw(_flag("--permutations", _mostly([1, 2, 5], [0, -1]))),
+        draw(_flag("--background-subsample", _mostly([1, 2, 5], [0, -1, 9]))),
+        draw(_flag("--seed", _mostly([0, 1, 2**64 - 1], [2**64, -1]))),
+        draw(_flag("--threads", _mostly([1, 2], [0, -1]))),
+        draw(st.sampled_from([[], ["--eq7-as-printed"]])),
+        draw(_flag("--emit-shap", _path("phi.csv"))),
+        draw(_flag("--emit-model", _path("model.json"))),
+        draw(_flag("--out", _path("report.json"))),
+    ]
+    return text, ["explain", "{dir}/in.csv", *[a for group in draw(st.permutations(groups)) for a in group]]
+
+
+_RHO_LISTS = _lists(_mostly([-0.8, -0.5, 0.0, 0.3, 0.9, 1.0], [1.5]), _mostly([1, 2, 3], [0]))
+_COEFFICIENT_RECORDS = st.fixed_dictionaries({
+    "id": _mostly(["a", "b", "a,b"], [1]),
+    "coefficients": _lists(_mostly([1.0, 0.0, -2.0], [1e300]), _mostly([1, 2, 3], [0])),
+})
+
+
+@st.composite
+def _simulate_runs(draw):
+    """A simulate config (JSON text, or None for no ``--config``) and
+    simulate's argv. The rho values, ``n_samples`` and ``permutations`` each
+    come from a flag, the config or both, so every grid has at most 3 rhos, 40
+    samples and 5 permutations; every other key and flag is absent or has a
+    valid or an invalid value."""
+    config, groups = {}, []
+    use_config = draw(st.booleans())
+    for key, flag, values in (
+        ("rho_values", "--rhos", _RHO_LISTS),
+        ("n_samples", "--n-samples", _mostly([4, 10, 40], [-1, 1, 2, 3])),
+        ("permutations", "--permutations", _mostly([1, 2, 5], [0, -1])),
+    ):
+        where = draw(st.sampled_from(["flag", "config", "both"] if use_config else ["flag"]))
+        if where != "config":
+            value = draw(values)
+            # "--rhos=" since argparse reads a list such as "-0.8,0.0" as an option
+            groups.append([f"--rhos={','.join(map(str, value))}"] if key == "rho_values" else [flag, str(value)])
+        if where != "flag":
+            config[key] = draw(values)
+    for key, values in (
+        ("seed", _mostly([0, 7], [2**64, -1, "1"])),
+        ("noise_sd", _mostly([None, 0.0, 1.5], [-1.0, math.nan, "x"])),
+        ("estimator", _mostly(["linear", "sampled"], ["bogus", 1])),
+        ("background_subsample", _mostly([None, 1, 4], [0, 41, 2.5])),
+        ("coefficient_configs", _lists(_COEFFICIENT_RECORDS, _mostly([1, 2, 3], [0]))),
+        ("rho", _mostly([None], [[0.0]])),  # not a key
+    ):
+        value = draw(values)
+        if use_config and value is not None and draw(st.booleans()):
+            config[key] = value
+    groups += [
+        draw(_flag("--noise-sd", _mostly(["0", "1"], ["-1", "nan", "inf"]))),
+        draw(_flag("--estimator", st.sampled_from(["linear", "sampled"]))),
+        draw(_flag("--background-subsample", _mostly([1, 4], [0, -1, 41]))),
+        draw(_flag("--seed", _mostly([0, 5], [2**64, -1]))),
+        draw(_flag("--threads", _mostly([1, 2], [0, -1]))),
+        ["--out", draw(_path("grid.csv").filter(lambda path: path is not None))],
+        draw(_flag("--summary-out", _path("summary.json"))),
+    ]
+    text = None
+    if use_config:
+        groups.append(["--config", "{dir}/grid.json"])
+        text = draw(_mostly([json.dumps(config)], ["[1]", "{"]))
+    return text, ["simulate", *[a for group in draw(st.permutations(groups)) for a in group]]
+
+
+def _files(work):
+    """Every path under ``work``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in work.rglob("*")}
+
+
+def _run_in(work, argv):
+    """``shapr2 argv`` in process, with ``{dir}`` standing for ``work``, where
+    ``old.out`` holds "old\n"; checks the exit code and, on a failure, that one
+    ``error:`` line is all it printed and that no file changed."""
+    (work / "old.out").write_text("old\n", encoding="utf-8")
+    before = _files(work)
+    result = run_cli(*[arg.replace("{dir}", str(work)) for arg in argv])
+    assert result.code in (0, 2, 3)
+    if result.code:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert _files(work) == before
+    else:
+        assert result.stderr == ""
+    return result
+
+
+def _assert_shares_sum(report_text):
+    """The per-feature ``r2`` values of a report sum to its ``baseline_r2``."""
+    report = json.loads(report_text)
+    r2 = [feature["r2"] for feature in report["features"]]
+    if any("feature-level shares are all zero" in w for w in report["warnings"]):
+        assert r2 == [0.0] * len(r2)  # the all-null outcome (README)
+    else:
+        assert abs(sum(r2) - report["baseline_r2"]) <= 1e-10
+
+
 class TestCliBoundary:
-    """``decompose`` on generated CSV files keeps the CLI contract."""
+    """``decompose``, ``explain`` and ``simulate`` on generated inputs and
+    command lines keep the CLI contract."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=_decompose_files())
@@ -1275,12 +1438,31 @@ class TestCliBoundary:
             assert not out.exists()
             return
         assert result.stderr == "" and out.read_text(encoding="utf-8") == result.stdout
-        report = json.loads(result.stdout)
-        r2 = [feature["r2"] for feature in report["features"]]
-        if any("feature-level shares are all zero" in w for w in report["warnings"]):
-            assert r2 == [0.0] * len(r2)  # the all-null outcome (README)
-        else:
-            assert abs(sum(r2) - report["baseline_r2"]) <= 1e-10
+        _assert_shares_sum(result.stdout)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(run=_explain_runs())
+    def test_explain_contract(self, tmp_path_factory, run):
+        text, argv = run
+        work = tmp_path_factory.mktemp("explain")
+        (work / "in.csv").write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(models, "TUNE_MAX_ITERATIONS", 200):  # bounds an unreachable search
+            result = _run_in(work, argv)
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        if result.code == 0 and out != os.devnull:
+            _assert_shares_sum(result.stdout if out is None else
+                               Path(out.replace("{dir}", str(work))).read_text(encoding="utf-8"))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(run=_simulate_runs())
+    def test_simulate_contract(self, tmp_path_factory, run):
+        text, argv = run
+        work = tmp_path_factory.mktemp("simulate")
+        if text is not None:
+            (work / "grid.json").write_text(text, encoding="utf-8")
+        result = _run_in(work, argv)
+        if result.code == 0 and "--summary-out" not in argv:
+            assert json.loads(result.stdout)["version"] == cli_module.VERSION
 
 
 def _owner(arr):
@@ -1412,9 +1594,33 @@ class TestModelDocument:
             (_edited({"n_features": 0, "stumps": []}), ShapeError),
             (_edited({"learning_rate": 0}), InvalidValue),
             (_edited({}, {"threshold": float("inf")}), InvalidValue),
+            ({"type": "linear", "intercept": float("inf"), "coefficients": [1.0]}, InvalidValue),
         ],
-        ids=["index-out-of-range", "no-features", "rate-zero", "threshold-inf"],
+        ids=["index-out-of-range", "no-features", "rate-zero", "threshold-inf",
+             "linear-intercept-inf"],
     )
     def test_invalid_parameters(self, doc, error):
         with pytest.raises(error):
             model_from_document(doc)
+
+    def test_unknown_model_type(self):
+        with pytest.raises(InvalidValue, match="^cannot serialize model of type object$"):
+            model_document(object())
+
+
+class TestReportDumps:
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"a": float("nan")}, "cannot serialize non-finite number nan"),
+            ({"a": {1, 2}}, "cannot serialize set"),
+        ],
+        ids=["nan", "set"],
+    )
+    def test_rejects_what_json_cannot_hold(self, document, message):
+        with pytest.raises(InvalidValue, match=f"^{message}$"):
+            dumps(document)
+
+    def test_empty_containers(self):
+        assert dumps({}) == "{}\n"
+        assert dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'

@@ -121,6 +121,10 @@ class TestBaselineR2:
         with pytest.raises(DegenerateInput):
             baseline_r2([3, 3, 3], [3, 3, 3])
 
+    def test_needs_two_observations(self):
+        with pytest.raises(DegenerateInput, match="^need at least 2 observations, got 1$"):
+            baseline_r2([1.0], [1.0])
+
 
 class TestShapleyModifiedPredictions:
     def test_null_attribution_column(self):
@@ -504,6 +508,12 @@ class TestShapleyMatrixType:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidValue):
             ShapleyMatrix(phi=np.array([[np.nan]]), phi0=0.0)
+        with pytest.raises(DegenerateInput, match="^phi0 must be finite$"):
+            ShapleyMatrix(phi=np.zeros((1, 1)), phi0=np.nan)
+
+    def test_unknown_provenance(self):
+        with pytest.raises(ShapeError, match="^unknown provenance 'guessed'$"):
+            ShapleyMatrix(phi=np.zeros((1, 1)), phi0=None, provenance="guessed")
 
     def test_additivity_gap(self):
         yhat = np.array([1.0, 2.0, 3.0])
@@ -512,6 +522,10 @@ class TestShapleyMatrixType:
         assert matrix.additivity_gap(yhat) <= 1e-15
         bad = ShapleyMatrix(phi=phi, phi0=2.5)
         assert bad.additivity_gap(yhat) > 0.1
+        with pytest.raises(DegenerateInput, match="^matrix has no phi0; additivity is unchecked$"):
+            ShapleyMatrix(phi=phi, phi0=None).additivity_gap(yhat)
+        with pytest.raises(ShapeError, match="^yhat length does not match attribution rows$"):
+            matrix.additivity_gap(yhat[:2])
 
     def test_default_feature_names(self):
         matrix = ShapleyMatrix(phi=np.zeros((2, 3)), phi0=None)
@@ -531,6 +545,16 @@ def _frozen(shape):
     arr = np.arange(float(np.prod(shape))).reshape(shape).copy()
     arr.flags.writeable = False
     return arr
+
+
+class TestDataset:
+    def test_x_must_be_a_matrix(self):
+        with pytest.raises(ShapeError, match="^x must be 2-dimensional, got ndim=1$"):
+            Dataset(x=np.zeros(3))
+
+    def test_y_pairs_one_outcome_per_row(self):
+        with pytest.raises(ShapeError, match="^y has 2 rows but x has 3$"):
+            Dataset(x=np.zeros((3, 1)), y=np.zeros(2))
 
 
 class TestFloatArrayCopies:

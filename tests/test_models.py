@@ -74,6 +74,10 @@ class TestFitOls:
         with pytest.raises(SingularDesign):
             fit_ols(Dataset(x=x, y=rng.standard_normal(12)))
 
+    def test_needs_outcome(self):
+        with pytest.raises(InvalidValue, match="^dataset has no outcome column to fit$"):
+            fit_ols(Dataset(x=np.zeros((5, 1))))
+
     def test_too_few_rows(self):
         with pytest.raises(SingularDesign):
             fit_ols(Dataset(x=np.eye(3), y=np.ones(3)))
@@ -207,6 +211,8 @@ class TestStumpEnsemble:
             fit_stump_ensemble(ds, iterations=0)
         with pytest.raises(InvalidValue):
             fit_stump_ensemble(ds, iterations=5, learning_rate=1.5)
+        with pytest.raises(InvalidValue, match="^dataset has no outcome column to fit$"):
+            fit_stump_ensemble(Dataset(x=ds.x), iterations=5)
 
 
 def per_stump_predict(model, x):

@@ -124,6 +124,19 @@ class TestCoalitionValue:
         with pytest.raises(ShapeError):
             coalition_value(p, x, [0], BackgroundSet(np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("x, coalition", [([math.nan, 0.0], [0]), ([math.inf, 0.0], [0, 1])],
+                             ids=["nan", "inf-full-coalition"])
+    def test_instance_must_be_finite(self, x, coalition):
+        # a stump sends nan right and inf right, so an unchecked instance yields 1.0
+        model = StumpEnsemble(0.0, (Stump(0, 0.5, 0.0, 1.0),), 1.0, 2)
+        with pytest.raises(InvalidValue, match="^instance contains non-finite entries$"):
+            coalition_value(model, x, coalition, BackgroundSet(np.zeros((1, 2))))
+
+    def test_predictor_width_is_the_engines_rule(self):
+        model = LinearModel(0.0, [1.0, 2.0, 3.0])
+        with pytest.raises(ShapeError, match="^dataset has 2 features but predictor expects 3$"):
+            coalition_value(model, [1.0, 2.0], [0], BackgroundSet(np.zeros((2, 2))))
+
 
 class TestExactShapley:
     def test_matches_bruteforce_oracle_f3(self):

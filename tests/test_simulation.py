@@ -44,6 +44,19 @@ class TestCholesky:
         with pytest.raises(InvalidMatrix):
             cholesky_factor(bad)
 
+    @pytest.mark.parametrize(
+        "corr, message",
+        [
+            (np.ones((2, 3)), "correlation matrix must be square"),
+            (np.ones(3), "correlation matrix must be square"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "correlation matrix contains non-finite entries"),
+        ],
+        ids=["non-square", "one-dimensional", "non-finite"],
+    )
+    def test_structure_rejected(self, corr, message):
+        with pytest.raises(InvalidMatrix, match=f"^{message}$"):
+            cholesky_factor(corr)
+
     def test_non_unit_diagonal_rejected(self):
         with pytest.raises(InvalidMatrix):
             cholesky_factor(np.array([[2.0, 0.0], [0.0, 2.0]]))
@@ -103,8 +116,10 @@ class TestSampleMvn:
             ({"noise_sd": float("nan")}, "noise_sd"),
             ({"noise_sd": float("inf")}, "noise_sd"),
             ({"noise_sd": -1.0}, "noise_sd"),
+            ({"n_samples": 1}, "n_samples"),
         ],
-        ids=["rho-nan", "coefficient-inf", "noise-nan", "noise-inf", "noise-negative"],
+        ids=["rho-nan", "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
+             "n-samples-one"],
     )
     def test_spec_rejects_value_naming_field(self, changes, field):
         values = {"rho": 0.0, "n_samples": 10, "coefficients": (1.0,), "noise_sd": 1.0, "seed": 0}
@@ -220,6 +235,14 @@ class TestRunGrid:
             GridSpec(estimator="x")
         with pytest.raises(InvalidValue, match="^unknown estimator 'x'$"):
             run_cell(spec(0.0, n=30), estimator="x")
+        with pytest.raises(InvalidValue, match="^unknown estimator 'x'$"):  # before any draw
+            run_cell(spec(-0.8, n=30), estimator="x")
+
+    @pytest.mark.parametrize("rho, estimator", [(0.0, "linear"), (-0.8, "sampled")],
+                             ids=["linear", "sampled-non-pd"])
+    def test_cell_subsample_over_samples(self, rho, estimator):
+        with pytest.raises(InvalidValue, match="^background_subsample 31 exceeds n_samples 30$"):
+            run_cell(spec(rho, n=30), estimator=estimator, background_subsample=31)
 
     def test_rho_values_are_floats(self):
         rhos = GridSpec(rho_values=[0, 1]).rho_values
