@@ -584,6 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads "--rhos -0.8,0.0" as two options
+        if argv[i] == "--rhos":
+            argv[i:i + 2] = [f"--rhos={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

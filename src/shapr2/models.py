@@ -56,10 +56,15 @@ class LinearModel:
         return self.coefficients.shape[0]
 
     def predict(self, row) -> float:
-        return float(self.intercept + self.coefficients @ np.asarray(row, dtype=float))
+        return float(self.predict_batch(np.asarray(row, dtype=float)[None])[0])
 
     def predict_batch(self, rows) -> np.ndarray:
-        return self.intercept + np.asarray(rows, dtype=float) @ self.coefficients
+        # column by column in a fixed order: a BLAS product rounds a row by the rows in its call
+        x = np.asarray(rows, dtype=float)
+        out = np.full(x.shape[0], self.intercept)
+        for column, c in zip(x.T, self.coefficients, strict=True):
+            out += column * c
+        return out
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 @runtime_checkable
 class Predictor(Protocol):
-    """Deterministic scalar-valued model over fixed-length feature rows."""
+    """Deterministic scalar-valued model over fixed-length feature rows; a
+    row's value does not depend on the other rows in its call."""
 
     feature_count: int
 
@@ -179,13 +180,11 @@ def _coalition_values(predictor: Predictor, x: np.ndarray, instance: np.ndarray,
 
     Value ``k`` is the mean prediction over a background with the columns
     set in ``bits[k]`` replaced by the values of row ``instance[k]`` of the
-    N x F matrix ``x``; the masks of one instance are consecutive. The
-    background is the B x F ``rows`` or, with ``index``, ``rows[index[k]]``.
-    The masks are evaluated a chunk at a time in the scratch ``block`` (from
-    :func:`_block`, which fixes the chunk size and B), allocated once by the
-    caller so that it is faulted in only once. Each instance's part of a
-    chunk is one predictor call: a predictor may round a row by the size of
-    its call (a BLAS product does), so no call mixes instances.
+    N x F matrix ``x``. The background is the B x F ``rows`` or, with
+    ``index``, ``rows[index[k]]``. The masks are evaluated a chunk at a time,
+    one predictor call each, in the scratch ``block`` (from :func:`_block`,
+    which fixes the chunk size and B), allocated once by the caller so that
+    it is faulted in only once.
     """
     per_call, n_bg, n_features = block.shape
     values = np.empty(bits.shape[0])
@@ -195,10 +194,7 @@ def _coalition_values(predictor: Predictor, x: np.ndarray, instance: np.ndarray,
         part = block[: owner.shape[0]]
         part[...] = rows if index is None else rows[index[chunk]]
         np.copyto(part, x[owner, None], where=bits[chunk, None, :])
-        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), part.shape[0]]
-        flat = part.reshape(-1, n_features)
-        batch = np.concatenate([_predict_batch(predictor, flat[first * n_bg:end * n_bg])
-                                for first, end in zip(cuts, cuts[1:])])
+        batch = _predict_batch(predictor, part.reshape(-1, n_features))
         values[chunk] = batch.reshape(-1, n_bg).mean(axis=1)
     return values
 
@@ -276,13 +272,11 @@ def sampled_shapley(
     prefix masks, each against the background or its subsample, fit in
     ``_BATCH_ROW_LIMIT`` predictor rows, and at least one. A block's draws
     run instance by instance; then its masks go to :func:`_coalition_values`
-    together and its contributions telescope in one pass. A predictor call
-    never mixes instances, and the prediction for ``x`` itself is a call of
-    its own, so every call is one that evaluating the instance alone makes.
-    Each instance's distinct prefixes are evaluated once. With
-    ``background_subsample`` set, each permutation instead evaluates its
-    prefixes against a fresh seeded subsample of the background (cost
-    control for large backgrounds); the chain stays anchored at the
+    together, its instances are predicted in one call, and its contributions
+    telescope in one pass. Each instance's distinct prefixes are evaluated
+    once. With ``background_subsample`` set, each permutation instead
+    evaluates its prefixes against a fresh seeded subsample of the background
+    (cost control for large backgrounds); the chain stays anchored at the
     full-background base value so additivity is preserved.
     """
     if config is None:
@@ -300,8 +294,6 @@ def sampled_shapley(
 
     n_prefix = n_features - 1
     n_bg = n_rows if sub is None else sub
-    # either a block's masks fit one chunk of _coalition_values or the block is
-    # one instance, so each instance's predictor calls are those it makes alone;
     # with F = 1 there are no masks, and the bound holds the drawn subsets
     per_block = max(1, _BATCH_ROW_LIMIT // (n_perms * max(1, n_prefix) * n_bg))
     block = _block(per_block * n_perms * n_prefix, n_bg, n_features)
@@ -331,9 +323,7 @@ def sampled_shapley(
         bits = (position[:, :, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
         instance = np.repeat(np.arange(n), n_perms * n_prefix)
         if sub is None:
-            # each distinct (instance, mask) once, compared as bytes with the
-            # instance first: an instance's masks stay together, in the order
-            # np.unique(axis=0) gives them for that instance alone
+            # each distinct (instance, mask) once, compared as bytes
             keys = np.empty((bits.shape[0], 8 + n_features), dtype=np.uint8)
             keys[:, :8] = instance.astype(">u8")[:, None].view(np.uint8)
             keys[:, 8:] = bits
@@ -348,8 +338,7 @@ def sampled_shapley(
         path = np.empty((n, n_perms, n_features + 1))
         path[..., 0] = base_value
         path[..., 1:-1] = chain.reshape(n, n_perms, n_prefix)
-        # one row per call: a predictor may round one row apart from many
-        path[..., -1] = np.array([_predict_batch(predictor, row[None])[0] for row in x_block])[:, None]
+        path[..., -1] = _predict_batch(predictor, x_block)[:, None]
         # np.add.at adds unbuffered in C order: per instance, the same additions
         # in the same order as walking each permutation position by position
         contrib = np.zeros((n, n_features))

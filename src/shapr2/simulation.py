@@ -39,9 +39,9 @@ DEFAULT_COEFFICIENT_CONFIGS = (
 )
 
 
-def _check_cell_values(rho: float, coefficients, noise_sd: float | None) -> None:
-    """The rules on a cell's correlation, coefficients and noise, shared by
-    :class:`UniformCorrelationSpec` and :class:`GridSpec`."""
+def _check_cell_values(rho: float, coefficients, noise_sd: float | None, n_samples: int) -> None:
+    """The rules on a cell's correlation, coefficients, noise and sample
+    count, shared by :class:`UniformCorrelationSpec` and :class:`GridSpec`."""
     if not -1.0 <= rho <= 1.0:
         raise InvalidValue(f"rho {rho} is outside [-1, 1]")
     if not coefficients:
@@ -52,6 +52,8 @@ def _check_cell_values(rho: float, coefficients, noise_sd: float | None) -> None
         raise InvalidValue(f"noise_sd must be finite, got {noise_sd}")
     if noise_sd is not None and noise_sd < 0:
         raise InvalidValue("noise_sd must be >= 0")
+    if n_samples < 2:
+        raise InvalidValue("n_samples must be >= 2")
 
 
 def _sampling_config(estimator, permutations, seed, background_subsample, n_samples) -> SamplingConfig:
@@ -78,9 +80,7 @@ class UniformCorrelationSpec:
     seed: int
 
     def __post_init__(self):
-        _check_cell_values(self.rho, self.coefficients, self.noise_sd)
-        if self.n_samples < 2:
-            raise InvalidValue("n_samples must be >= 2")
+        _check_cell_values(self.rho, self.coefficients, self.noise_sd, self.n_samples)
         check_seed(self.seed)
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
@@ -123,7 +123,7 @@ class GridSpec:
         rhos = tuple(float(rho) for rho in self.rho_values)
         for rho in rhos:
             for _, coefficients in self.coefficient_configs:
-                _check_cell_values(rho, coefficients, self.noise_sd)
+                _check_cell_values(rho, coefficients, self.noise_sd, self.n_samples)
         object.__setattr__(self, "rho_values", rhos)
         if not self.rho_values:
             raise InvalidValue("rho_values is empty")

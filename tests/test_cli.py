@@ -477,6 +477,13 @@ class TestSimulate:
             assert status == "skipped_non_pd"
             assert sigma == "" and r2 == ""
 
+    def test_rhos_may_start_with_a_minus_sign(self, cli, tmp_path):
+        # argparse alone reads "-0.8,0.0" as an unknown option
+        runs = [cli("simulate", *rhos, "--n-samples", "40", "--out", str(tmp_path / f"{i}.csv"))
+                for i, rhos in enumerate((["--rhos", "-0.8,0.0"], ["--rhos=-0.8,0.0"]))]
+        assert [r.code for r in runs] == [0, 0] and runs[0].stdout == runs[1].stdout
+        assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
     def test_deterministic_bytes(self, cli, tmp_path):
         args = ("simulate", "--rhos", "0.0,0.4", "--n-samples", "300", "--seed", "7")
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1355,8 +1362,7 @@ def _simulate_runs(draw):
         where = draw(st.sampled_from(["flag", "config", "both"] if use_config else ["flag"]))
         if where != "config":
             value = draw(values)
-            # "--rhos=" since argparse reads a list such as "-0.8,0.0" as an option
-            groups.append([f"--rhos={','.join(map(str, value))}"] if key == "rho_values" else [flag, str(value)])
+            groups.append([flag, ",".join(map(str, value)) if key == "rho_values" else str(value)])
         if where != "flag":
             config[key] = draw(values)
     for key, values in (

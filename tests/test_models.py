@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from shapr2 import (
     Dataset,
+    LinearModel,
     StumpEnsemble,
     baseline_r2,
     classical_r2,
@@ -111,10 +112,13 @@ class TestFitOls:
         )
 
     def test_linear_example(self):
-        from shapr2 import LinearModel
-
         model = LinearModel(intercept=1.0, coefficients=np.array([2.0]))
         assert model.predict([3.0]) == 7.0
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rows_of_another_width_are_refused(self, width):
+        with pytest.raises(ValueError):
+            LinearModel(0.0, [1.0, 2.0]).predict_batch(np.ones((2, width)))
 
 
 def reference_boost(x, y, iterations, learning_rate):
@@ -339,3 +343,35 @@ class TestTuneIterations:
         ds, _ = make_regression(seed=15, n=80)
         model, _, k = tune_iterations(ds, target_r2=0.4, learning_rate=0.05)
         assert model == fit_stump_ensemble(ds, iterations=k, learning_rate=0.05)
+
+
+@st.composite
+def models_and_rows(draw):
+    """A ``LinearModel`` or a ``StumpEnsemble`` of 20 stumps on 1 to 16
+    features, and 1 to 80 rows for it, every cell its own value; the stump
+    thresholds are cells of the rows, so some rows sit on a split."""
+    n_features = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((draw(st.integers(1, 80)), n_features))
+    if draw(st.booleans()):
+        return LinearModel(rng.standard_normal(), rng.standard_normal(n_features)), rows
+    stumps = tuple(
+        Stump(int(f), float(rows[rng.integers(rows.shape[0]), f]), *rng.standard_normal(2).tolist())
+        for f in rng.integers(0, n_features, 20)
+    )
+    return StumpEnsemble(rng.standard_normal(), stumps, 0.1, n_features), rows
+
+
+class TestRowIndependence:
+    """A row's prediction does not depend on the other rows in its call."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=models_and_rows(), choice=st.data())
+    def test_slice_predicts_as_in_the_whole_call(self, case, choice):
+        model, rows = case
+        start = choice.draw(st.integers(0, rows.shape[0] - 1))
+        stop = choice.draw(st.integers(start + 1, rows.shape[0]))
+        whole = model.predict_batch(rows)
+        assert model.predict_batch(rows[start:stop]).tobytes() == whole[start:stop].tobytes()
+        for row, value in zip(rows, whole):
+            assert np.float64(model.predict(row)).tobytes() == value.tobytes()

@@ -7,7 +7,6 @@ different code path from the engine's bitmask/batch implementation.
 """
 
 import math
-from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -453,7 +452,7 @@ class WavePredictor:
         return float(sum(w * math.sin(v) for w, v in zip(self.weights, row)) + row[0] * row[-1])
 
     def predict_batch(self, rows):
-        return np.sin(rows) @ self.weights + rows[:, 0] * rows[:, -1]
+        return (np.sin(rows) * self.weights).sum(axis=1) + rows[:, 0] * rows[:, -1]
 
 
 class CountingPredictor:
@@ -558,6 +557,15 @@ class TestEngineRegression:
             for a, b in zip(wide, narrow):
                 assert np.array_equal(a.phi, b.phi) and a.phi0 == b.phi0
             assert max(counter.batches) <= limit
+
+    def test_linear_model_ignores_row_limit(self, monkeypatch):
+        # through a BLAS product these phi were up to 4.4e-16 apart
+        model, ds, bg = LinearModel(0.25, np.linspace(-1.0, 2.0, 9)), Dataset(x=_WIDE_X), BackgroundSet(_WIDE_BG)
+        runs = []
+        for limit in (8192, 35):
+            monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", limit)
+            runs.append(exact_shapley(model, ds, bg))
+        assert runs[0].phi.tobytes() == runs[1].phi.tobytes() and runs[0].phi0 == runs[1].phi0
 
 
 _PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -683,29 +691,18 @@ def reference_sampled_shapley(predictor, x, background, config):
     return phi, base_value
 
 
-class RecordingPredictor(CountingPredictor):
-    """Also keeps the rows of every call, as bytes."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.calls = []
-
-    def predict_batch(self, rows):
-        self.calls.append(rows.tobytes())
-        return super().predict_batch(rows)
-
-
 _WIDE_RNG = np.random.default_rng(99)
-# F = 9: OpenBLAS rounds the rows in the remainder of a call apart from the rest
+# LinearModel keeps a row's value whatever else is in its call: with F = 9 a
+# BLAS product rounds the rows in the remainder of a call apart from the rest
 _WIDE_X, _WIDE_BG = _WIDE_RNG.standard_normal((4, 9)), _WIDE_RNG.standard_normal((6, 9))
-# F = 2 and one background row: each instance's one prefix is a one-row call,
-# which numpy computes on a path of its own
+# and with F = 2 and one background row, where each instance's one prefix is a
+# one-row call, which a BLAS product computes on a path of its own
 _NARROW_X, _NARROW_BG = _WIDE_RNG.standard_normal((5, 2)), _WIDE_RNG.standard_normal((1, 2))
 
 
 class TestBatchedMatchesReference:
     """The block-batched engine against :func:`reference_sampled_shapley`:
-    the same phi and phi0 bit for bit, from the same predictor calls."""
+    the same phi and phi0 bit for bit, from the same predictor rows."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -719,7 +716,7 @@ class TestBatchedMatchesReference:
     # the pinned F = 1 cases, with and without a subsample
     @example(data=(_PIN_X1, _PIN_BG1), n_perms=5, seed=123, k=None, linear=False, limit=8192)
     @example(data=(_PIN_X1, _PIN_BG1), n_perms=5, seed=123, k=3, linear=False, limit=8192)
-    # predictors that round a row by the size of its call
+    # LinearModel on widths where a BLAS product would round by call size
     @example(data=(_WIDE_X, _WIDE_BG), n_perms=3, seed=5, k=None, linear=True, limit=8192)
     @example(data=(_WIDE_X, _WIDE_BG), n_perms=3, seed=5, k=5, linear=True, limit=8192)
     @example(data=(_NARROW_X, _NARROW_BG), n_perms=1, seed=8, k=None, linear=True, limit=8192)
@@ -732,13 +729,12 @@ class TestBatchedMatchesReference:
         else:
             inner = WavePredictor(x.shape[1])
         config, ds, background = SamplingConfig(n_perms, seed, subsample), Dataset(x=x), BackgroundSet(bg)
-        expected, recorded = RecordingPredictor(inner), RecordingPredictor(inner)
+        expected, recorded = CountingPredictor(inner), CountingPredictor(inner)
         # a small limit splits the instances into blocks and a block's masks into chunks
         with mock.patch.object(shapr2.shapley, "_BATCH_ROW_LIMIT", limit):
             phi, phi0 = reference_sampled_shapley(expected, x, background, config)
             result = sampled_shapley(recorded, ds, background, config)
         assert np.array_equal(result.phi, phi) and result.phi0 == phi0
         assert recorded.rows == expected.rows
-        assert Counter(recorded.calls) == Counter(expected.calls)
         # a call holds at least one mask; the base value is one call on the background
         assert max(recorded.batches) <= max(limit, bg.shape[0])

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import shapr2.shapley
 from shapr2 import (
     GridSpec,
     UniformCorrelationSpec,
@@ -221,10 +222,13 @@ class TestRunGrid:
             ({"noise_sd": -0.5}, "noise_sd"),
             ({"n_samples": 40, "background_subsample": 50}, "background_subsample"),
             ({"coefficient_configs": (("a", (1.0, 2.0)), ("a", (2.0, 1.0)))}, "coefficient_configs"),
+            ({"n_samples": 1}, "n_samples"),
+            # the sample count is checked before the subsample is compared with it
+            ({"n_samples": -1, "estimator": "sampled", "background_subsample": 4}, "n_samples"),
         ],
         ids=["rho-range", "rho-nan", "no-configs", "ragged-widths", "empty-coefficients",
              "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
-             "subsample-over-samples", "duplicate-ids"],
+             "subsample-over-samples", "duplicate-ids", "n-samples-one", "n-samples-before-subsample"],
     )
     def test_grid_rejects_value_naming_field(self, changes, field):
         with pytest.raises(InvalidValue, match=f"^{field} "):
@@ -253,6 +257,17 @@ class TestRunGrid:
         a = run_grid(gs)
         b = run_grid(gs)
         assert a.rows() == b.rows()
+
+    @pytest.mark.parametrize("subsample", [None, 1])
+    def test_sampled_grid_ignores_row_limit(self, monkeypatch, subsample):
+        # 8192 evaluates a cell's instances in one block, 1 one mask per call
+        spec = GridSpec(rho_values=(0.0, 0.6), n_samples=30, seed=4, estimator="sampled", permutations=4,
+                        background_subsample=subsample)
+        runs = []
+        for limit in (8192, 1):
+            monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", limit)
+            runs.append(repr(run_grid(spec).rows()))
+        assert runs[0] == runs[1]
 
     def test_default_grid_trend(self):
         grid = run_grid(GridSpec(seed=0))
