@@ -38,6 +38,15 @@ TUNE_MAX_ITERATIONS = 20000
 TUNE_TOLERANCE = 0.01
 
 
+def _rows(rows, n_features: int) -> np.ndarray:
+    """The input rule of every ``predict_batch``: ``rows`` as a float matrix of
+    the model's ``n_features`` columns; any other shape raises ShapeError."""
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise ShapeError(f"rows of shape {x.shape} for a model of {n_features} features")
+    return x
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """``intercept + coefficients @ x``; :func:`~shapr2.data.as_float_array` checks the coefficients."""
@@ -60,9 +69,9 @@ class LinearModel:
 
     def predict_batch(self, rows) -> np.ndarray:
         # column by column in a fixed order: a BLAS product rounds a row by the rows in its call
-        x = np.asarray(rows, dtype=float)
+        x = _rows(rows, self.feature_count)
         out = np.full(x.shape[0], self.intercept)
-        for column, c in zip(x.T, self.coefficients, strict=True):
+        for column, c in zip(x.T, self.coefficients):
             out += column * c
         return out
 
@@ -138,7 +147,7 @@ class StumpEnsemble:
     def predict_batch(self, rows) -> np.ndarray:
         # searchsorted's side="left" sends x == threshold left, and NaN,
         # which sorts last, right, as ``x <= threshold`` does
-        x = np.asarray(rows, dtype=float)
+        x = _rows(rows, self.n_features)
         out = np.full(x.shape[0], self.init_value)
         for f, thresholds, steps in self._tables:
             out += steps[np.searchsorted(thresholds, x[:, f])]

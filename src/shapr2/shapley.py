@@ -253,6 +253,176 @@ def exact_shapley(
     )
 
 
+#: Upper bound on the 32-bit words one call of :func:`_draws` holds (192 KiB).
+_DRAW_WORD_LIMIT = 49152
+
+#: A shuffle step of :func:`_draws` looks this many words ahead for its draw.
+_LOOKAHEAD = 32
+
+
+def _streams(seed: int, instances):
+    """``(j, Philox(key=seed ^ instances[j]))`` for each j: one Philox re-keyed
+    per instance, without the OS entropy that constructor draws for a seed it ignores."""
+    bit_generator = np.random.Philox(key=0)
+    keyed = bit_generator.state
+    for j, i in enumerate(instances):
+        keyed["state"]["key"][0] = seed ^ int(i)
+        bit_generator.state = keyed
+        yield j, bit_generator
+
+
+def _generator_draws(seed: int, instances, n_perms: int, n_features: int, n_rows: int,
+                     sub: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled engine's draws, by definition: for each of the ``instances``,
+    ``Generator(Philox(key=seed ^ i))`` draws, per permutation,
+    ``choice(n_rows, sub, replace=False)`` (with a subsample) and then a
+    shuffle of ``arange(F)``. Returns the permutations and the subsets, M
+    per instance."""
+    perms = np.empty((len(instances), n_perms, n_features), dtype=np.intp)
+    perms[...] = np.arange(n_features)
+    subsets = np.empty((len(instances), n_perms, sub or 0), dtype=np.intp)
+    for j, bit_generator in _streams(seed, instances):
+        rng = np.random.Generator(bit_generator)
+        for m in range(n_perms):
+            if sub is not None:
+                subsets[j, m] = rng.choice(n_rows, size=sub, replace=False)
+            # shuffling arange(F) in place draws what rng.permutation(F) draws
+            rng.shuffle(perms[j, m])
+    return perms, subsets
+
+
+def _n_words(n_perms: int, n_features: int, sub: int | None) -> int:
+    """The word budget of one instance in :func:`_draws`, an even number:
+    2 sub - 1 per choice, and twice the mean of the shuffles, whose step at
+    position i reads 2^bit_length(i) / (i + 1) words on average."""
+    shuffle = sum((1 << i.bit_length()) / (i + 1) for i in range(1, n_features))
+    n = n_perms * (2 * sub - 1 if sub else 0) + math.ceil(2 * n_perms * shuffle)
+    return n + n % 2
+
+
+def _swap(table: np.ndarray, i: int, drawn: np.ndarray) -> None:
+    """One Fisher-Yates step in every column r of ``table``: swap rows i and ``drawn[r]``."""
+    at = drawn * table.shape[1] + np.arange(table.shape[1])
+    flat = table.reshape(-1)
+    held = flat[at]
+    flat[at] = table[i]
+    table[i] = held
+
+
+def _draws(seed: int, first: int, n: int, n_perms: int, n_features: int, n_rows: int,
+           sub: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_generator_draws` of instances ``first`` .. ``first + n - 1``,
+    for ``sub`` below ``n_rows``, replayed from each stream's raw words.
+
+    The generator reads 32-bit words, the low half of each 64-bit output
+    first. numpy's ``choice`` without replacement is Floyd's algorithm: for
+    j from n_rows - sub to n_rows - 1 a Lemire draw in [0, j], replaced by j
+    if already taken; then the sub values are shuffled from the last
+    position down by Lemire draws, 2 sub - 1 words in all. A Lemire draw in
+    [0, b) is the high half of word * b, rejected when the low half is below
+    2^32 mod b. ``shuffle`` goes from the last position i down too, each
+    draw masked to the next power of two minus one and redrawn while above i.
+
+    Pass 1 walks every instance's shuffles at once, M (F - 1) vector steps,
+    and notes where each choice starts; pass 2 runs every choice at once,
+    word by word. An instance is drawn again by :func:`_generator_draws`
+    when it makes a Lemire rejection (chance below n_rows / 2^32 a draw),
+    reads past its :func:`_n_words`, or has a shuffle draw rejected
+    ``_LOOKAHEAD`` times in a row (chance below 2^-32 a draw); so is every
+    instance when numpy's ``choice`` would shuffle a tail of
+    ``arange(n_rows)`` instead (n_rows > 10000 and sub > n_rows // 50).
+    numpy does not promise to keep these algorithms, but the output bytes
+    already depend on them; the tests match this replay against
+    ``Generator``, so a change fails there.
+    """
+    if sub is not None and n_rows > 10000 and sub > n_rows // 50:
+        return _generator_draws(seed, range(first, first + n), n_perms, n_features, n_rows, sub)
+    n_words = _n_words(n_perms, n_features, sub)
+    choice = 2 * sub - 1 if sub else 0
+    # instance j's words start at j * n_words; zeros follow the last, and a
+    # masked draw accepts a zero, so an instance that runs past its budget
+    # (and is drawn again) reads on into the next one's words or the zeros
+    raw = np.zeros((n * n_words + n_perms * (choice + n_features) + _LOOKAHEAD) // 2 + 1, dtype=np.uint64)
+    for j, bit_generator in _streams(seed, range(first, first + n)):
+        raw[j * n_words // 2:(j + 1) * n_words // 2] = bit_generator.random_raw(n_words // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")
+
+    # pass 1: at[j] is the next word instance j reads
+    at = np.arange(n, dtype=np.intp) * n_words
+    starts = np.empty((n, n_perms), dtype=np.intp)
+    read = np.empty((n_features, n, n_perms), dtype=np.intp)
+    masks = [(1 << i.bit_length()) - 1 for i in range(n_features)]
+    ahead = np.arange(_LOOKAHEAD)
+    for m in range(n_perms):
+        starts[:, m] = at
+        at += choice
+        for i in range(n_features - 1, 0, -1):
+            if i != masks[i]:  # else every word is accepted
+                at += ((words[at[:, None] + ahead] & masks[i]) <= i).argmax(axis=1)
+            read[i, :, m] = at
+            at += 1
+    failed = at > np.arange(1, n + 1) * n_words
+    table = np.empty((n_features, n * n_perms), dtype=np.uint32)
+    table[...] = np.arange(n_features)[:, None]
+    for i in range(n_features - 1, 0, -1):
+        drawn = words.take(read[i].ravel()) & masks[i]
+        # a draw above i had no accepted word in its lookahead; its instance is drawn again
+        failed |= (drawn > i).reshape(n, n_perms).any(axis=1)
+        _swap(table, i, np.minimum(drawn, i))
+    perms = table.T.reshape(n, n_perms, n_features)
+
+    # pass 2: word c of every choice at once, in a table with one column per choice
+    table = np.empty((sub or 0, n * n_perms), dtype=np.uint32)
+    if sub is not None:
+        low = n_rows - sub
+        at = starts.ravel()
+        rejected = np.zeros(at.shape, dtype=bool)
+        for c, bound in enumerate([*range(low + 1, n_rows + 1), *range(sub, 1, -1)]):
+            product = words.take(at + c) * np.uint64(bound)
+            rejected |= (product & 0xFFFFFFFF) < (1 << 32) % bound
+            drawn = (product >> 32).astype(np.uint32)
+            if c < sub:
+                table[c] = np.where((table[:c] == drawn).any(axis=0), low + c, drawn)
+            else:
+                _swap(table, choice - c, drawn)
+        failed |= rejected.reshape(n, n_perms).any(axis=1)
+    subsets = table.T.reshape(n, n_perms, sub or 0)
+
+    redo = np.flatnonzero(failed)
+    if redo.size:
+        perms[redo], subsets[redo] = _generator_draws(seed, first + redo, n_perms, n_features, n_rows, sub)
+    return perms, subsets
+
+
+def _draw_blocks(seed: int, n_instances: int, per_block: int, n_perms: int, n_features: int,
+                 n_rows: int, sub: int | None):
+    """``(first, perms, subsets)`` for each block of ``per_block`` instances,
+    drawn in runs of whole blocks, at least one: as many as hold at most
+    ``_DRAW_WORD_LIMIT`` words in :func:`_draws` (the raw words, the
+    permutations and subsets, and the read positions and choice starts at
+    two words each).
+
+    :func:`_draws` costs about M (F - 1) + 2 sub - 1 vector steps a run,
+    whatever its size, and one vector step costs about as much as three
+    ``Generator`` calls, of which an instance makes M, or 2 M with a
+    subsample. So a run that makes fewer than three calls a step, which a
+    large M, F or sub can force on the memory bound, goes to
+    :func:`_generator_draws` instead.
+    """
+    held = _n_words(n_perms, n_features, sub) + n_perms * (3 * n_features + (sub or 0) + 2)
+    per_draw = per_block * max(1, _DRAW_WORD_LIMIT // (held * per_block))
+    steps = n_perms * (n_features - 1) + (2 * sub - 1 if sub else 0)
+    replay = per_draw * n_perms * (1 if sub is None else 2) >= 3 * steps
+    for start in range(0, n_instances, per_draw):
+        n = min(per_draw, n_instances - start)
+        if replay:
+            perms, subsets = _draws(seed, start, n, n_perms, n_features, n_rows, sub)
+        else:
+            perms, subsets = _generator_draws(seed, range(start, start + n), n_perms, n_features, n_rows, sub)
+        for k in range(0, n, per_block):
+            yield start + k, perms[k:k + per_block], subsets[k:k + per_block]
+
+
 def sampled_shapley(
     predictor: Predictor,
     dataset: Dataset,
@@ -270,13 +440,16 @@ def sampled_shapley(
 
     Instances are evaluated in blocks: as many as have their M (F - 1)
     prefix masks, each against the background or its subsample, fit in
-    ``_BATCH_ROW_LIMIT`` predictor rows, and at least one. A block's draws
-    run instance by instance; then its masks go to :func:`_coalition_values`
-    together, its instances are predicted in one call, and its contributions
-    telescope in one pass. Each instance's distinct prefixes are evaluated
-    once. With ``background_subsample`` set, each permutation instead
-    evaluates its prefixes against a fresh seeded subsample of the background
-    (cost control for large backgrounds); the chain stays anchored at the
+    ``_BATCH_ROW_LIMIT`` predictor rows, and at least one. A block's masks
+    go to :func:`_coalition_values` together, its instances are predicted in
+    one call, and its contributions telescope in one pass. The draws are
+    made for runs of several blocks (:func:`_draw_blocks`), mostly by
+    :func:`_draws`, which replays numpy's ``choice`` and ``shuffle`` from
+    the streams' raw words. Each
+    instance's distinct prefixes are evaluated once. With
+    ``background_subsample`` set, each permutation instead evaluates its
+    prefixes against a fresh seeded subsample of the background (cost
+    control for large backgrounds); the chain stays anchored at the
     full-background base value so additivity is preserved.
     """
     if config is None:
@@ -297,26 +470,10 @@ def sampled_shapley(
     # with F = 1 there are no masks, and the bound holds the drawn subsets
     per_block = max(1, _BATCH_ROW_LIMIT // (n_perms * max(1, n_prefix) * n_bg))
     block = _block(per_block * n_perms * n_prefix, n_bg, n_features)
-    # one Philox, re-keyed per instance: the state of Philox(key=seed ^ i),
-    # without the OS entropy that constructor draws for a seed it ignores
-    bit_generator = np.random.Philox(key=0)
-    keyed = bit_generator.state
     phi = np.empty(x.shape)
-    for first in range(0, x.shape[0], per_block):
+    for first, perms, subsets in _draw_blocks(seed, x.shape[0], per_block, n_perms, n_features, n_rows, sub):
         x_block = x[first:first + per_block]
         n = x_block.shape[0]
-        perms = np.empty((n, n_perms, n_features), dtype=np.intp)
-        perms[...] = np.arange(n_features)
-        subsets = np.empty((n, n_perms, sub or 0), dtype=np.intp)
-        for j in range(n):
-            keyed["state"]["key"][0] = seed ^ (first + j)
-            bit_generator.state = keyed
-            rng = np.random.Generator(bit_generator)
-            for m in range(n_perms):
-                if sub is not None:
-                    subsets[j, m] = rng.choice(n_rows, size=sub, replace=False)
-                # shuffling arange(F) in place draws what rng.permutation(F) draws
-                rng.shuffle(perms[j, m])
         # prefix p of permutation m holds the features at positions 0..p; the
         # block's masks run instance by instance, permutation by permutation
         position = np.argsort(perms, axis=2)

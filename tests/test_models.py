@@ -117,7 +117,7 @@ class TestFitOls:
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_rows_of_another_width_are_refused(self, width):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"^rows of shape \(2, \d\) for a model of 2 features$"):
             LinearModel(0.0, [1.0, 2.0]).predict_batch(np.ones((2, width)))
 
 
@@ -160,6 +160,14 @@ class TestStumpEnsemble:
             init_value=4.5, stumps=(), learning_rate=0.5, n_features=2
         )
         assert model.predict([1.0, 2.0]) == 4.5
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 5), (2,)])
+    def test_rows_of_another_width_are_refused(self, shape):
+        # a stump on feature 0 reads any row wide enough, so width is checked, not indexed
+        model = StumpEnsemble(0.0, (Stump(0, 0.5, 1.0, 2.0),), 1.0, 2)
+        with pytest.raises(ShapeError, match="^rows of shape .* for a model of 2 features$"):
+            model.predict_batch(np.ones(shape))
+        assert model.predict_batch(np.ones((2, 2))).tolist() == [2.0, 2.0]
 
     def test_boosting_fixed_point(self):
         # tiny noiseless data: enough iterations interpolate the outcome

@@ -490,6 +490,10 @@ _PIN_RNG = np.random.default_rng(2024)
 _PIN_X1, _PIN_BG1 = _PIN_RNG.standard_normal((3, 1)), _PIN_RNG.standard_normal((5, 1))
 _PIN_X4, _PIN_BG4 = _PIN_RNG.standard_normal((3, 4)), _PIN_RNG.standard_normal((6, 4))
 _PIN_F1_PHI = [[-0.32724300947671436], [1.0035803600431348], [-0.12975512481886986]]
+# F = 6, K = 8 of a 40-row background, M = 20: pinned from the engine that
+# drew with Generator.choice and Generator.shuffle instance by instance
+_PIN_WIDE_RNG = np.random.default_rng(2025)
+_PIN_X6, _PIN_BG6 = _PIN_WIDE_RNG.standard_normal((3, 6)), _PIN_WIDE_RNG.standard_normal((40, 6))
 
 
 class TestEngineRegression:
@@ -521,6 +525,34 @@ class TestEngineRegression:
             predictor, Dataset(x=x), BackgroundSet(bg), SamplingConfig(5, 123, subsample)
         )
         assert result.phi0 == phi0
+        assert np.array_equal(result.phi, np.array(phi))
+
+    @pytest.mark.parametrize(
+        "subsample, phi",
+        [
+            (None, [
+                [-1.2587790819865512, 0.06184268776445495, -0.7223387929327056,
+                 -0.8077179301767698, -0.7964663188411338, 0.20841027377342175],
+                [-0.5540852808517537, 0.22832966174988992, 0.3206083636636977,
+                 0.5035390526591286, -0.21509587143726114, 0.635908045199216],
+                [0.826293595124701, 0.43832338159840223, -1.1574773250468258,
+                 -0.23393287318006353, -0.7739716404838578, 1.2633681349842563],
+            ]),
+            (8, [
+                [-1.7321621089378367, 0.07387315030753923, -0.7540765553757464,
+                 -0.7658042792592802, -0.7450526659729111, 0.6081732968389505],
+                [-0.5098276090891359, 0.15422372823110303, 0.2612068202537865,
+                 0.45675733156684173, -0.1652794623382821, 0.7221231623586041],
+                [1.1152077520249344, 0.402410484181072, -1.232685462661317,
+                 -0.2274336776134481, -0.7125043535091633, 1.0176085305745348],
+            ]),
+        ],
+    )
+    def test_pinned_wide_values(self, subsample, phi):
+        result = sampled_shapley(
+            WavePredictor(6), Dataset(x=_PIN_X6), BackgroundSet(_PIN_BG6), SamplingConfig(20, 123, subsample)
+        )
+        assert result.phi0 == -0.019167273590369804
         assert np.array_equal(result.phi, np.array(phi))
 
     def test_exact_row_count(self):
@@ -557,6 +589,26 @@ class TestEngineRegression:
             for a, b in zip(wide, narrow):
                 assert np.array_equal(a.phi, b.phi) and a.phi0 == b.phi0
             assert max(counter.batches) <= limit
+
+    @pytest.mark.parametrize("subsample", [None, 4])
+    def test_draw_limit_bounds_memory_not_results(self, monkeypatch, subsample):
+        ds, bg = Dataset(x=np.random.default_rng(5).standard_normal((40, 4))), BackgroundSet(_PIN_BG4)
+        config = SamplingConfig(7, 9, subsample)
+        # fewer predictor rows than one instance has masks make each instance a block
+        monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", 80)
+        runs = []
+        # one block a run, too short to replay; a few blocks a run; every block in one run
+        for limit in (1, 3000, 2**30):
+            monkeypatch.setattr(shapr2.shapley, "_DRAW_WORD_LIMIT", limit)
+            counter = CountingPredictor(CubicPredictor())
+            with mock.patch.object(shapr2.shapley, "_draws", wraps=shapr2.shapley._draws) as draws:
+                result = sampled_shapley(counter, ds, bg, config)
+            runs.append((result, counter.batches, draws.call_count))
+        (first, batches, _), *rest = runs
+        for result, calls, _ in rest:
+            assert np.array_equal(result.phi, first.phi) and result.phi0 == first.phi0
+            assert calls == batches
+        assert [n for *_, n in runs][::2] == [0, 1] and 1 < runs[1][2] < 40
 
     def test_linear_model_ignores_row_limit(self, monkeypatch):
         # through a BLAS product these phi were up to 4.4e-16 apart
@@ -738,3 +790,93 @@ class TestBatchedMatchesReference:
         assert recorded.rows == expected.rows
         # a call holds at least one mask; the base value is one call on the background
         assert max(recorded.batches) <= max(limit, bg.shape[0])
+
+
+@st.composite
+def draw_shapes(draw):
+    """``(n_rows, sub)``: a background size and a subsample below it, or none."""
+    n_rows = draw(st.integers(2, 300))
+    return n_rows, draw(st.one_of(st.none(), st.integers(1, n_rows - 1)))
+
+
+def generator_draws(seed, first, n, n_perms, n_features, n_rows, sub):
+    """The draws of instances first..first+n-1, made by numpy's Generator."""
+    perms = np.empty((n, n_perms, n_features), dtype=np.intp)
+    subsets = np.empty((n, n_perms, sub or 0), dtype=np.intp)
+    for j in range(n):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ (first + j))))
+        for m in range(n_perms):
+            if sub is not None:
+                subsets[j, m] = rng.choice(n_rows, size=sub, replace=False)
+            perms[j, m] = np.arange(n_features)
+            rng.shuffle(perms[j, m])
+    return perms, subsets
+
+
+class TestDrawReplay:
+    """``shapley._draws`` replays numpy's ``choice`` and ``shuffle`` from raw
+    Philox words: the same draws as ``Generator``, or a numpy that changes
+    them fails here."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 2**20),
+        n=st.integers(1, 5),
+        n_perms=st.integers(1, 6),
+        n_features=st.integers(1, 9),
+        shape=draw_shapes(),
+    )
+    @example(seed=3, first=0, n=3, n_perms=4, n_features=5, shape=(40, 39))  # K = n - 1
+    @example(seed=3, first=0, n=3, n_perms=4, n_features=5, shape=(40, 1))  # K = 1
+    @example(seed=3, first=0, n=3, n_perms=4, n_features=1, shape=(40, 8))  # F = 1
+    @example(seed=3, first=0, n=3, n_perms=4, n_features=1, shape=(40, None))  # no draws at all
+    @example(seed=3, first=0, n=3, n_perms=1, n_features=5, shape=(40, 8))  # M = 1
+    @example(seed=3, first=0, n=3, n_perms=4, n_features=5, shape=(40, None))  # no subsample
+    @example(seed=3, first=0, n=2, n_perms=2, n_features=3, shape=(20000, 401))  # numpy shuffles a tail
+    def test_matches_generator(self, seed, first, n, n_perms, n_features, shape):
+        n_rows, sub = shape
+        perms, subsets = shapr2.shapley._draws(seed, first, n, n_perms, n_features, n_rows, sub)
+        expected_perms, expected_subsets = generator_draws(seed, first, n, n_perms, n_features, n_rows, sub)
+        assert np.array_equal(perms, expected_perms)
+        assert np.array_equal(subsets, expected_subsets)
+
+    @pytest.mark.parametrize(
+        "seed, n_perms, n_rows, subsample, reason",
+        [
+            # the 7th word of instance 0's first choice is a Lemire rejection:
+            # its low half, 41, is below 2^32 mod 191 = 147
+            (1707, 20, 200, 16, "rejection"),
+            # instance 0's one shuffle reads more words than its budget
+            (20027, 1, 6, 3, "budget"),
+        ],
+    )
+    def test_falls_back_to_generator(self, seed, n_perms, n_rows, subsample, reason):
+        n_features = 3 if reason == "rejection" else 4
+        rng = np.random.default_rng(17)
+        x, bg = rng.standard_normal((3, n_features)), rng.standard_normal((n_rows, n_features))
+        config, background = SamplingConfig(n_perms, seed, subsample), BackgroundSet(bg)
+        fallback = shapr2.shapley._generator_draws
+        with mock.patch.object(shapr2.shapley, "_generator_draws", wraps=fallback) as redraw:
+            perms, subsets = shapr2.shapley._draws(seed, 0, 3, n_perms, n_features, n_rows, subsample)
+            result = sampled_shapley(WavePredictor(n_features), Dataset(x=x), background, config)
+        assert 0 in redraw.call_args.args[1]
+        # with a budget of 1000 words, only the rejection still needs the generator
+        with mock.patch.object(shapr2.shapley, "_n_words", return_value=1000), \
+                mock.patch.object(shapr2.shapley, "_generator_draws", wraps=fallback) as redraw:
+            shapr2.shapley._draws(seed, 0, 1, n_perms, n_features, n_rows, subsample)
+        assert redraw.called == (reason == "rejection")
+        expected_perms, expected_subsets = generator_draws(seed, 0, 3, n_perms, n_features, n_rows, subsample)
+        assert np.array_equal(perms, expected_perms) and np.array_equal(subsets, expected_subsets)
+        phi, phi0 = reference_sampled_shapley(WavePredictor(n_features), x, background, config)
+        assert np.array_equal(result.phi, phi) and result.phi0 == phi0
+
+    def test_rejection_run_past_lookahead_falls_back_to_generator(self, monkeypatch):
+        # with a lookahead of one word, every rejected shuffle draw is such a run
+        monkeypatch.setattr(shapr2.shapley, "_LOOKAHEAD", 1)
+        fallback = shapr2.shapley._generator_draws
+        with mock.patch.object(shapr2.shapley, "_generator_draws", wraps=fallback) as redraw:
+            perms, subsets = shapr2.shapley._draws(5, 0, 20, 1, 3, 40, 8)
+        assert 0 < len(redraw.call_args.args[1]) < 20
+        expected_perms, expected_subsets = generator_draws(5, 0, 20, 1, 3, 40, 8)
+        assert np.array_equal(perms, expected_perms) and np.array_equal(subsets, expected_subsets)
