@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,20 @@ def json_floats(value, what: str) -> tuple[float, ...]:
     except OverflowError:  # an integer too large for a float
         pass
     raise ValidationError(f"{what} must be a list of numbers, got {value!r}")
+
+
+def check_integer(value, name: str) -> int:
+    """The rule of every integer option: a Python or numpy integer, returned as an ``int``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidValue(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_addressable(n_bytes: int, what: str) -> None:
+    """An array too large for numpy to address is out of memory, not a ``ValueError``."""
+    if n_bytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what} would take {n_bytes} bytes")
 
 
 def as_float_array(values, name: str, ndim: int) -> np.ndarray:

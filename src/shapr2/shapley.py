@@ -27,7 +27,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .data import Dataset, as_float_array
+from .data import Dataset, as_float_array, check_addressable, check_integer
 from .errors import FeatureCountExceeded, InvalidValue, ShapeError
 from .metrics import ShapleyMatrix
 from .models import LinearModel
@@ -41,7 +41,7 @@ SEED_MAX = 2**64
 
 def check_seed(seed: int) -> None:
     """The seed rule of every seeded spec: an integer in [0, SEED_MAX)."""
-    if not 0 <= int(seed) < SEED_MAX:
+    if not 0 <= check_integer(seed, "seed") < SEED_MAX:
         raise InvalidValue("seed must fit in an unsigned 64-bit integer")
 
 
@@ -109,10 +109,11 @@ class SamplingConfig:
     background_subsample: int | None = None
 
     def __post_init__(self):
-        if self.permutations_per_instance < 1:
+        if check_integer(self.permutations_per_instance, "permutations") < 1:
             raise InvalidValue("permutations must be >= 1")
         check_seed(self.seed)
-        if self.background_subsample is not None and self.background_subsample < 1:
+        k = self.background_subsample
+        if k is not None and check_integer(k, "background_subsample") < 1:
             raise InvalidValue("background_subsample must be >= 1 when set")
 
 
@@ -164,8 +165,8 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
     return float(values[0])
 
 
-#: Upper bound on rows handed to one predict_batch call when evaluating
-#: coalition blocks (keeps peak memory flat for wide feature counts).
+#: Upper bound on the rows of one predictor call, past one mask's background
+#: rows (keeps peak memory flat for wide feature counts).
 _BATCH_ROW_LIMIT = 8192
 
 
@@ -253,7 +254,8 @@ def exact_shapley(
     )
 
 
-#: Upper bound on the 32-bit words one call of :func:`_draws` holds (192 KiB).
+#: Upper bound on the 32-bit words the draws of a block of
+#: :func:`sampled_shapley` hold (192 KiB), unless the block is one instance.
 _DRAW_WORD_LIMIT = 49152
 
 #: A shuffle step of :func:`_draws` looks this many words ahead for its draw.
@@ -394,35 +396,6 @@ def _draws(seed: int, first: int, n: int, n_perms: int, n_features: int, n_rows:
     return perms, subsets
 
 
-def _draw_blocks(seed: int, n_instances: int, per_block: int, n_perms: int, n_features: int,
-                 n_rows: int, sub: int | None):
-    """``(first, perms, subsets)`` for each block of ``per_block`` instances,
-    drawn in runs of whole blocks, at least one: as many as hold at most
-    ``_DRAW_WORD_LIMIT`` words in :func:`_draws` (the raw words, the
-    permutations and subsets, and the read positions and choice starts at
-    two words each).
-
-    :func:`_draws` costs about M (F - 1) + 2 sub - 1 vector steps a run,
-    whatever its size, and one vector step costs about as much as three
-    ``Generator`` calls, of which an instance makes M, or 2 M with a
-    subsample. So a run that makes fewer than three calls a step, which a
-    large M, F or sub can force on the memory bound, goes to
-    :func:`_generator_draws` instead.
-    """
-    held = _n_words(n_perms, n_features, sub) + n_perms * (3 * n_features + (sub or 0) + 2)
-    per_draw = per_block * max(1, _DRAW_WORD_LIMIT // (held * per_block))
-    steps = n_perms * (n_features - 1) + (2 * sub - 1 if sub else 0)
-    replay = per_draw * n_perms * (1 if sub is None else 2) >= 3 * steps
-    for start in range(0, n_instances, per_draw):
-        n = min(per_draw, n_instances - start)
-        if replay:
-            perms, subsets = _draws(seed, start, n, n_perms, n_features, n_rows, sub)
-        else:
-            perms, subsets = _generator_draws(seed, range(start, start + n), n_perms, n_features, n_rows, sub)
-        for k in range(0, n, per_block):
-            yield start + k, perms[k:k + per_block], subsets[k:k + per_block]
-
-
 def sampled_shapley(
     predictor: Predictor,
     dataset: Dataset,
@@ -438,14 +411,13 @@ def sampled_shapley(
     stream keyed by ``seed XOR i``; output is bit-identical for a fixed
     config.
 
-    Instances are evaluated in blocks: as many as have their M (F - 1)
-    prefix masks, each against the background or its subsample, fit in
-    ``_BATCH_ROW_LIMIT`` predictor rows, and at least one. A block's masks
-    go to :func:`_coalition_values` together, its instances are predicted in
-    one call, and its contributions telescope in one pass. The draws are
-    made for runs of several blocks (:func:`_draw_blocks`), mostly by
-    :func:`_draws`, which replays numpy's ``choice`` and ``shuffle`` from
-    the streams' raw words. Each
+    Instances are drawn and evaluated in blocks: as many as have their draws
+    fit in ``_DRAW_WORD_LIMIT`` words, at most ``_BATCH_ROW_LIMIT``, and at
+    least one. A block's draws are made in one call, of :func:`_draws`,
+    which replays numpy's ``choice`` and ``shuffle`` from the streams' raw
+    words, or of :func:`_generator_draws`; its masks go to
+    :func:`_coalition_values` together, its instances are predicted in one
+    call, and its contributions telescope in one pass. Each
     instance's distinct prefixes are evaluated once. With
     ``background_subsample`` set, each permutation instead evaluates its
     prefixes against a fresh seeded subsample of the background (cost
@@ -467,13 +439,24 @@ def sampled_shapley(
 
     n_prefix = n_features - 1
     n_bg = n_rows if sub is None else sub
-    # with F = 1 there are no masks, and the bound holds the drawn subsets
-    per_block = max(1, _BATCH_ROW_LIMIT // (n_perms * max(1, n_prefix) * n_bg))
+    # 32-bit words an instance's draws hold: raw, permutations, subsets, and intp positions
+    held = _n_words(n_perms, n_features, sub) + n_perms * (3 * n_features + (sub or 0) + 2)
+    check_addressable(4 * held, "one instance's draws")
+    per_block = max(1, min(_BATCH_ROW_LIMIT, _DRAW_WORD_LIMIT // held))
+    # _draws takes about M (F - 1) + 2 sub - 1 vector steps a block, whatever its size, each
+    # costing about three Generator calls, of which an instance makes M (2 M with a subsample);
+    # blocks that make fewer calls a step (a large M, F or sub makes them short) use the loop
+    steps = n_perms * n_prefix + (2 * sub - 1 if sub else 0)
+    replay = per_block * n_perms * (1 if sub is None else 2) >= 3 * steps
     block = _block(per_block * n_perms * n_prefix, n_bg, n_features)
     phi = np.empty(x.shape)
-    for first, perms, subsets in _draw_blocks(seed, x.shape[0], per_block, n_perms, n_features, n_rows, sub):
+    for first in range(0, x.shape[0], per_block):
         x_block = x[first:first + per_block]
         n = x_block.shape[0]
+        if replay:
+            perms, subsets = _draws(seed, first, n, n_perms, n_features, n_rows, sub)
+        else:
+            perms, subsets = _generator_draws(seed, range(first, first + n), n_perms, n_features, n_rows, sub)
         # prefix p of permutation m holds the features at positions 0..p; the
         # block's masks run instance by instance, permutation by permutation
         position = np.argsort(perms, axis=2)

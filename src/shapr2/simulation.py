@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_addressable, check_integer
 from .errors import InvalidMatrix, InvalidValue, NonPositiveDefinite
 from .metrics import decompose
 from .models import fit_ols
@@ -52,7 +52,7 @@ def _check_cell_values(rho: float, coefficients, noise_sd: float | None, n_sampl
         raise InvalidValue(f"noise_sd must be finite, got {noise_sd}")
     if noise_sd is not None and noise_sd < 0:
         raise InvalidValue("noise_sd must be >= 0")
-    if n_samples < 2:
+    if check_integer(n_samples, "n_samples") < 2:
         raise InvalidValue("n_samples must be >= 2")
 
 
@@ -186,6 +186,7 @@ def sample_mvn(spec: UniformCorrelationSpec) -> np.ndarray:
     Deterministic for a fixed spec seed; propagates NonPositiveDefinite.
     """
     lower = cholesky_factor(uniform_correlation_matrix(spec.feature_count, spec.rho))
+    check_addressable(8 * int(spec.n_samples) * spec.feature_count, "the sample")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed)))
     z = rng.standard_normal((spec.n_samples, spec.feature_count))
     return z @ lower.T

@@ -1011,6 +1011,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("simulate", "--rhos", "0.0", "--n-samples", "100000000000000000000", "--out", "{tmp}/g.csv"),
+            ("simulate", "--rhos", "0.0", "--n-samples", "9223372036854775807", "--out", "{tmp}/g.csv"),
+            ("simulate", "--estimator", "sampled", "--n-samples", "50", "--rhos", "0.0",
+             "--permutations", "100000000000000000000", "--out", "{tmp}/g.csv"),
+            ("explain", "{csv}", "--target", "outcome", "--sampled", "--permutations", "100000000000000000000"),
+        ],
+        ids=["n-samples-past-dimensions", "n-samples-past-bytes", "simulate-permutations",
+             "explain-permutations"],
+    )
+    def test_arrays_past_the_address_space_are_out_of_memory(self, cli, explain_csv, tmp_path, argv):
+        # numpy refuses such arrays with a ValueError, before any allocation
+        (out := tmp_path / "out").mkdir()
+        result = cli(*[a.format(csv=explain_csv, tmp=out) for a in argv])
+        assert result.code == 3 and result.stdout == ""
+        assert result.stderr.startswith("error: out of memory: ") and result.stderr.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("explain", "{csv}", "--target", "outcome", "--seed", "{seed}"),
             ("explain", "{csv}", "--target", "outcome", "--background-subsample", "20",
              "--seed", "{seed}"),

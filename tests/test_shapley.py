@@ -370,12 +370,20 @@ class TestConfigValidation:
     def test_permutations_must_be_positive(self):
         with pytest.raises(InvalidValue):
             SamplingConfig(0, 1)
+        with pytest.raises(InvalidValue, match="^permutations must be an integer, got 2.5$"):
+            SamplingConfig(2.5, 0)
+        with pytest.raises(InvalidValue, match="^background_subsample must be an integer, got 2.5$"):
+            SamplingConfig(3, 0, 2.5)
 
     def test_seed_range(self):
         with pytest.raises(InvalidValue):
             SamplingConfig(1, -1)
         with pytest.raises(InvalidValue):
             SamplingConfig(1, 2**64)
+        with pytest.raises(InvalidValue, match="^seed must be an integer, got 0.5$"):
+            SamplingConfig(3, 0.5)
+        # numpy integers are integers
+        SamplingConfig(np.int64(3), np.uint64(2**64 - 1), np.int32(2))
 
     def test_background_needs_rows(self):
         with pytest.raises(ShapeError):
@@ -580,8 +588,8 @@ class TestEngineRegression:
         ds, bg = Dataset(x=_PIN_X4), BackgroundSet(_PIN_BG4)
         config = SamplingConfig(7, 9, subsample)
         wide = [exact_shapley(CubicPredictor(), ds, bg), sampled_shapley(CubicPredictor(), ds, bg, config)]
-        # 13 splits an instance's masks into calls; 200 splits the instances
-        # into blocks (two and one with the subsample)
+        # 13 splits an instance's masks into calls; 200 puts the masks of
+        # several instances in one call
         for limit in (13, 200):
             monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", limit)
             counter = CountingPredictor(CubicPredictor())
@@ -591,23 +599,24 @@ class TestEngineRegression:
             assert max(counter.batches) <= limit
 
     @pytest.mark.parametrize("subsample", [None, 4])
-    def test_draw_limit_bounds_memory_not_results(self, monkeypatch, subsample):
+    def test_draw_limit_bounds_blocks_not_results(self, monkeypatch, subsample):
         ds, bg = Dataset(x=np.random.default_rng(5).standard_normal((40, 4))), BackgroundSet(_PIN_BG4)
         config = SamplingConfig(7, 9, subsample)
-        # fewer predictor rows than one instance has masks make each instance a block
         monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", 80)
         runs = []
-        # one block a run, too short to replay; a few blocks a run; every block in one run
+        # one instance a block, too few to replay; a few blocks; every instance in one block
         for limit in (1, 3000, 2**30):
             monkeypatch.setattr(shapr2.shapley, "_DRAW_WORD_LIMIT", limit)
             counter = CountingPredictor(CubicPredictor())
             with mock.patch.object(shapr2.shapley, "_draws", wraps=shapr2.shapley._draws) as draws:
                 result = sampled_shapley(counter, ds, bg, config)
-            runs.append((result, counter.batches, draws.call_count))
-        (first, batches, _), *rest = runs
-        for result, calls, _ in rest:
+            runs.append((result, counter, draws.call_count))
+        (first, first_counter, _), *rest = runs
+        for result, counter, _ in rest:
             assert np.array_equal(result.phi, first.phi) and result.phi0 == first.phi0
-            assert calls == batches
+            assert counter.rows == first_counter.rows
+        # a call holds at least one mask; the base value is one call on the background
+        assert all(max(counter.batches) <= max(80, bg.size) for _, counter, _ in runs)
         assert [n for *_, n in runs][::2] == [0, 1] and 1 < runs[1][2] < 40
 
     def test_linear_model_ignores_row_limit(self, monkeypatch):
@@ -772,6 +781,9 @@ class TestBatchedMatchesReference:
     @example(data=(_WIDE_X, _WIDE_BG), n_perms=3, seed=5, k=None, linear=True, limit=8192)
     @example(data=(_WIDE_X, _WIDE_BG), n_perms=3, seed=5, k=5, linear=True, limit=8192)
     @example(data=(_NARROW_X, _NARROW_BG), n_perms=1, seed=8, k=None, linear=True, limit=8192)
+    # F = 1, M = 1, B = 1: the draw limit would put both instances in a block,
+    # whose x call the row limit of 1 caps at one row
+    @example(data=(_PIN_X1[:2], _PIN_BG1[:1]), n_perms=1, seed=123, k=None, linear=False, limit=1)
     def test_bit_for_bit(self, data, n_perms, seed, k, linear, limit):
         x, bg = data
         # K = None, 1 <= K < B, or K = B (the whole background)
@@ -782,7 +794,7 @@ class TestBatchedMatchesReference:
             inner = WavePredictor(x.shape[1])
         config, ds, background = SamplingConfig(n_perms, seed, subsample), Dataset(x=x), BackgroundSet(bg)
         expected, recorded = CountingPredictor(inner), CountingPredictor(inner)
-        # a small limit splits the instances into blocks and a block's masks into chunks
+        # a small limit splits the instances into blocks and a block's masks into calls
         with mock.patch.object(shapr2.shapley, "_BATCH_ROW_LIMIT", limit):
             phi, phi0 = reference_sampled_shapley(expected, x, background, config)
             result = sampled_shapley(recorded, ds, background, config)

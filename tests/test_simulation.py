@@ -118,9 +118,11 @@ class TestSampleMvn:
             ({"noise_sd": float("inf")}, "noise_sd"),
             ({"noise_sd": -1.0}, "noise_sd"),
             ({"n_samples": 1}, "n_samples"),
+            ({"n_samples": 10.5}, "n_samples"),
+            ({"seed": 1.5}, "seed"),
         ],
         ids=["rho-nan", "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
-             "n-samples-one"],
+             "n-samples-one", "n-samples-float", "seed-float"],
     )
     def test_spec_rejects_value_naming_field(self, changes, field):
         values = {"rho": 0.0, "n_samples": 10, "coefficients": (1.0,), "noise_sd": 1.0, "seed": 0}
@@ -225,10 +227,13 @@ class TestRunGrid:
             ({"n_samples": 1}, "n_samples"),
             # the sample count is checked before the subsample is compared with it
             ({"n_samples": -1, "estimator": "sampled", "background_subsample": 4}, "n_samples"),
+            ({"n_samples": 50.5}, "n_samples"),
+            ({"seed": 1.5}, "seed"),
         ],
         ids=["rho-range", "rho-nan", "no-configs", "ragged-widths", "empty-coefficients",
              "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
-             "subsample-over-samples", "duplicate-ids", "n-samples-one", "n-samples-before-subsample"],
+             "subsample-over-samples", "duplicate-ids", "n-samples-one", "n-samples-before-subsample",
+             "n-samples-float", "seed-float"],
     )
     def test_grid_rejects_value_naming_field(self, changes, field):
         with pytest.raises(InvalidValue, match=f"^{field} "):
@@ -247,6 +252,13 @@ class TestRunGrid:
     def test_cell_subsample_over_samples(self, rho, estimator):
         with pytest.raises(InvalidValue, match="^background_subsample 31 exceeds n_samples 30$"):
             run_cell(spec(rho, n=30), estimator=estimator, background_subsample=31)
+
+    def test_numpy_integers_are_integers(self):
+        grid = GridSpec(rho_values=(0.0,), n_samples=np.int64(40), seed=np.uint64(7), estimator="sampled",
+                        permutations=np.int32(2), background_subsample=np.int64(5))
+        assert run_grid(grid).rows() == run_grid(GridSpec(
+            rho_values=(0.0,), n_samples=40, seed=7, estimator="sampled", permutations=2,
+            background_subsample=5)).rows()
 
     def test_rho_values_are_floats(self):
         rhos = GridSpec(rho_values=[0, 1]).rho_values
