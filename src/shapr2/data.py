@@ -26,11 +26,13 @@ def json_floats(value, what: str) -> tuple[float, ...]:
 
 
 def check_integer(value, name: str) -> int:
-    """The rule of every integer option: a Python or numpy integer, returned as an ``int``."""
+    """The rule of every integer option: a Python or numpy integer, not a bool, returned as an ``int``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):  # operator.index refuses numpy's bool
+            return operator.index(value)
     except TypeError:
-        raise InvalidValue(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise InvalidValue(f"{name} must be an integer, got {value!r}")
 
 
 def check_addressable(n_bytes: int, what: str) -> None:

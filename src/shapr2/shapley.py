@@ -175,26 +175,26 @@ def _block(n_masks: int, n_bg: int, n_features: int) -> np.ndarray:
     return np.empty((max(1, min(n_masks, _BATCH_ROW_LIMIT // n_bg)), n_bg, n_features))
 
 
-def _coalition_values(predictor: Predictor, x: np.ndarray, instance: np.ndarray, bits: np.ndarray,
+def _coalition_values(predictor: Predictor, x: np.ndarray, owner: np.ndarray, bits: np.ndarray,
                       rows: np.ndarray, block: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """Coalition values for every row of a K x F mask matrix.
 
-    Value ``k`` is the mean prediction over a background with the columns
-    set in ``bits[k]`` replaced by the values of row ``instance[k]`` of the
-    N x F matrix ``x``. The background is the B x F ``rows`` or, with
-    ``index``, ``rows[index[k]]``. The masks are evaluated a chunk at a time,
-    one predictor call each, in the scratch ``block`` (from :func:`_block`,
-    which fixes the chunk size and B), allocated once by the caller so that
-    it is faulted in only once.
+    Mask ``k`` reads both of its inputs through its one owner, ``owner[k]``:
+    value ``k`` is the mean prediction over the B x F ``rows``, or with
+    ``index`` over ``rows[index[owner[k]]]``, with the columns set in
+    ``bits[k]`` replaced by row ``owner[k]`` of the N x F ``x``. The masks
+    are evaluated a chunk at a time, one predictor call each, in the scratch
+    ``block`` (from :func:`_block`, which fixes the chunk size and B),
+    allocated once by the caller so that it is faulted in only once.
     """
     per_call, n_bg, n_features = block.shape
     values = np.empty(bits.shape[0])
     for start in range(0, bits.shape[0], per_call):
         chunk = slice(start, start + per_call)
-        owner = instance[chunk]
-        part = block[: owner.shape[0]]
-        part[...] = rows if index is None else rows[index[chunk]]
-        np.copyto(part, x[owner, None], where=bits[chunk, None, :])
+        own = owner[chunk]
+        part = block[: own.shape[0]]
+        part[...] = rows if index is None else rows[index[own]]
+        np.copyto(part, x[own, None], where=bits[chunk, None, :])
         batch = _predict_batch(predictor, part.reshape(-1, n_features))
         values[chunk] = batch.reshape(-1, n_bg).mean(axis=1)
     return values
@@ -416,13 +416,13 @@ def sampled_shapley(
     least one. A block's draws are made in one call, of :func:`_draws`,
     which replays numpy's ``choice`` and ``shuffle`` from the streams' raw
     words, or of :func:`_generator_draws`; its masks go to
-    :func:`_coalition_values` together, its instances are predicted in one
-    call, and its contributions telescope in one pass. Each
-    instance's distinct prefixes are evaluated once. With
+    :func:`_coalition_values` together, each owned by its permutation, its
+    instances are predicted in one call, and its contributions telescope in
+    one pass. Each instance's distinct prefixes are evaluated once. With
     ``background_subsample`` set, each permutation instead evaluates its
-    prefixes against a fresh seeded subsample of the background (cost
+    prefixes against its own seeded subsample of the background (cost
     control for large backgrounds); the chain stays anchored at the
-    full-background base value so additivity is preserved.
+    full-background base value.
     """
     if config is None:
         raise InvalidValue("sampled_shapley requires a SamplingConfig")
@@ -439,7 +439,7 @@ def sampled_shapley(
 
     n_prefix = n_features - 1
     n_bg = n_rows if sub is None else sub
-    # 32-bit words an instance's draws hold: raw, permutations, subsets, and intp positions
+    # 32-bit words held per instance: raw, permutations, subsets (a block's only K-wide array), intp positions
     held = _n_words(n_perms, n_features, sub) + n_perms * (3 * n_features + (sub or 0) + 2)
     check_addressable(4 * held, "one instance's draws")
     per_block = max(1, min(_BATCH_ROW_LIMIT, _DRAW_WORD_LIMIT // held))
@@ -457,24 +457,24 @@ def sampled_shapley(
             perms, subsets = _draws(seed, first, n, n_perms, n_features, n_rows, sub)
         else:
             perms, subsets = _generator_draws(seed, range(first, first + n), n_perms, n_features, n_rows, sub)
-        # prefix p of permutation m holds the features at positions 0..p; the
-        # block's masks run instance by instance, permutation by permutation
+        # prefix p of permutation m holds the features at positions 0..p; mask k is a
+        # prefix of permutation k // (F - 1), its owner, whose row of x_perm is its instance's
         position = np.argsort(perms, axis=2)
         bits = (position[:, :, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
-        instance = np.repeat(np.arange(n), n_perms * n_prefix)
+        owner = np.repeat(np.arange(n * n_perms), n_prefix)
+        x_perm = np.repeat(x_block, n_perms, axis=0)
         if sub is None:
             # each distinct (instance, mask) once, compared as bytes
             keys = np.empty((bits.shape[0], 8 + n_features), dtype=np.uint8)
-            keys[:, :8] = instance.astype(">u8")[:, None].view(np.uint8)
+            keys[:, :8] = (owner // n_perms).astype(">u8")[:, None].view(np.uint8)
             keys[:, 8:] = bits
             _, distinct, inverse = np.unique(
                 keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
             )
-            values = _coalition_values(predictor, x_block, instance[distinct], bits[distinct], bg, block)
+            values = _coalition_values(predictor, x_perm, owner[distinct], bits[distinct], bg, block)
             chain = values[inverse]
         else:
-            index = np.repeat(subsets.reshape(-1, sub), n_prefix, axis=0)
-            chain = _coalition_values(predictor, x_block, instance, bits, bg, block, index)
+            chain = _coalition_values(predictor, x_perm, owner, bits, bg, block, subsets.reshape(-1, sub))
         path = np.empty((n, n_perms, n_features + 1))
         path[..., 0] = base_value
         path[..., 1:-1] = chain.reshape(n, n_perms, n_prefix)

@@ -52,8 +52,10 @@ def _check_cell_values(rho: float, coefficients, noise_sd: float | None, n_sampl
         raise InvalidValue(f"noise_sd must be finite, got {noise_sd}")
     if noise_sd is not None and noise_sd < 0:
         raise InvalidValue("noise_sd must be >= 0")
-    if check_integer(n_samples, "n_samples") < 2:
-        raise InvalidValue("n_samples must be >= 2")
+    if not noise_sd and not any(coefficients):  # else the outcome is constant; the default noise is 0 too
+        raise InvalidValue("noise_sd must be > 0 when every coefficient is 0")
+    if check_integer(n_samples, "n_samples") <= len(coefficients):
+        raise InvalidValue(f"n_samples must exceed the {len(coefficients)} coefficients, got {n_samples}")
 
 
 def _sampling_config(estimator, permutations, seed, background_subsample, n_samples) -> SamplingConfig:

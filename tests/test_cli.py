@@ -921,14 +921,27 @@ class TestErrorPaths:
             (("--noise-sd", "inf"), "noise_sd"),
             (("--rhos", "0.0,1.5"), "rho"),
             (("--background-subsample", "50"), "background_subsample"),
+            (("--n-samples", "3"), "n_samples"),
         ],
-        ids=["noise-nan", "noise-inf", "rho-range", "subsample-over-samples"],
+        ids=["noise-nan", "noise-inf", "rho-range", "subsample-over-samples", "n-samples-not-above-features"],
     )
     def test_grid_flag_rejected_naming_field(self, cli, tmp_path, flags, field):
         result = cli("simulate", "--rhos", "0.0", "--n-samples", "40", *flags,
                      "--out", str(tmp_path / "g.csv"))
         _assert_input_error(result)
         assert result.stderr.startswith(f"error: {field} ")
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("noise", [(), ("--noise-sd", "0")], ids=["default-noise", "zero-noise"])
+    def test_all_zero_coefficients_need_noise(self, cli, tmp_path, noise):
+        # an earlier config that runs fine does not get its cells run first
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"coefficient_configs": [
+            {"id": "a", "coefficients": [1, 2, 3]}, {"id": "z", "coefficients": [0, 0, 0]}]}), encoding="utf-8")
+        result = cli("simulate", "--config", str(config), "--rhos", "0.0", "--n-samples", "40", *noise,
+                     "--out", str(tmp_path / "g.csv"))
+        _assert_input_error(result)
+        assert result.stderr.startswith("error: noise_sd ")
         assert not (tmp_path / "g.csv").exists()
 
     def test_one_message_for_subsample_over_rows(self, cli, explain_csv, tmp_path):

@@ -7,6 +7,7 @@ different code path from the engine's bitmask/batch implementation.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -374,6 +375,8 @@ class TestConfigValidation:
             SamplingConfig(2.5, 0)
         with pytest.raises(InvalidValue, match="^background_subsample must be an integer, got 2.5$"):
             SamplingConfig(3, 0, 2.5)
+        with pytest.raises(InvalidValue, match="^permutations must be an integer, got True$"):
+            SamplingConfig(True, 0)
 
     def test_seed_range(self):
         with pytest.raises(InvalidValue):
@@ -382,6 +385,8 @@ class TestConfigValidation:
             SamplingConfig(1, 2**64)
         with pytest.raises(InvalidValue, match="^seed must be an integer, got 0.5$"):
             SamplingConfig(3, 0.5)
+        with pytest.raises(InvalidValue, match="^seed must be an integer, got True$"):
+            SamplingConfig(3, True)
         # numpy integers are integers
         SamplingConfig(np.int64(3), np.uint64(2**64 - 1), np.int32(2))
 
@@ -619,6 +624,25 @@ class TestEngineRegression:
         assert all(max(counter.batches) <= max(80, bg.size) for _, counter, _ in runs)
         assert [n for *_, n in runs][::2] == [0, 1] and 1 < runs[1][2] < 40
 
+    def test_subsample_is_not_copied_per_mask(self, monkeypatch):
+        # masks read their permutation's subset through their owner, so the
+        # peak grows with K by about the draws, far less than a per-mask copy
+        # of the subsets (N M (F - 1) K 32-bit entries) would add
+        n, f, m, b = 38, 11, 10, 300
+        rng = np.random.default_rng(0)
+        ds, bg = Dataset(x=rng.standard_normal((n, f))), BackgroundSet(rng.standard_normal((b, f)))
+        model = LinearModel(0.5, np.linspace(-1.0, 1.0, f))
+        monkeypatch.setattr(shapr2.shapley, "_DRAW_WORD_LIMIT", 2**30)  # one block
+        peaks = []
+        for k in (100, 200):
+            tracemalloc.start()
+            try:
+                sampled_shapley(model, ds, bg, SamplingConfig(m, 3, k))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < n * m * (f - 1) * 100 * 4 / 2
+
     def test_linear_model_ignores_row_limit(self, monkeypatch):
         # through a BLAS product these phi were up to 4.4e-16 apart
         model, ds, bg = LinearModel(0.25, np.linspace(-1.0, 2.0, 9)), Dataset(x=_WIDE_X), BackgroundSet(_WIDE_BG)
@@ -729,7 +753,8 @@ def reference_sampled_shapley(predictor, x, background, config):
             perms[m] = rng.permutation(n_features)
         position = np.argsort(perms, axis=1)
         bits = (position[:, None, :] <= np.arange(n_prefix)[:, None]).reshape(-1, n_features)
-        # the instance alone: row[None], every mask on row 0, a block for all of its masks
+        # the instance alone: row[None], every mask on row 0, a block for all of its masks;
+        # with a subsample, mask k on row k // (F - 1) of the row repeated per permutation
         if sub is None:
             unique, inverse = np.unique(bits, axis=0, return_inverse=True)
             block = shapr2.shapley._block(unique.shape[0], background.size, n_features)
@@ -737,10 +762,11 @@ def reference_sampled_shapley(predictor, x, background, config):
                 predictor, row[None], np.zeros(unique.shape[0], np.intp), unique, background.rows, block
             )[inverse.reshape(-1)]
         else:
-            index = np.repeat(np.array(subsets), n_prefix, axis=0)
+            owner = np.repeat(np.arange(n_perms), n_prefix)
             block = shapr2.shapley._block(bits.shape[0], sub, n_features)
             chain = shapr2.shapley._coalition_values(
-                predictor, row[None], np.zeros(bits.shape[0], np.intp), bits, background.rows, block, index
+                predictor, np.repeat(row[None], n_perms, axis=0), owner, bits, background.rows, block,
+                np.array(subsets),
             )
         path = np.empty((n_perms, n_features + 1))
         path[:, 0] = base_value

@@ -120,9 +120,13 @@ class TestSampleMvn:
             ({"n_samples": 1}, "n_samples"),
             ({"n_samples": 10.5}, "n_samples"),
             ({"seed": 1.5}, "seed"),
+            ({"n_samples": 3, "coefficients": (1.0, 2.0, 3.0)}, "n_samples"),
+            ({"coefficients": (0.0, 0.0), "noise_sd": 0.0}, "noise_sd"),
+            ({"seed": True}, "seed"),
         ],
         ids=["rho-nan", "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
-             "n-samples-one", "n-samples-float", "seed-float"],
+             "n-samples-one", "n-samples-float", "seed-float", "n-samples-not-above-features",
+             "all-zero-coefficients-no-noise", "seed-bool"],
     )
     def test_spec_rejects_value_naming_field(self, changes, field):
         values = {"rho": 0.0, "n_samples": 10, "coefficients": (1.0,), "noise_sd": 1.0, "seed": 0}
@@ -229,11 +233,16 @@ class TestRunGrid:
             ({"n_samples": -1, "estimator": "sampled", "background_subsample": 4}, "n_samples"),
             ({"n_samples": 50.5}, "n_samples"),
             ({"seed": 1.5}, "seed"),
+            ({"n_samples": 3}, "n_samples"),  # the default configs have 3 features
+            ({"coefficient_configs": (("z", (0.0, 0.0, 0.0)),)}, "noise_sd"),  # default noise: 0
+            ({"coefficient_configs": (("z", (0.0, 0.0, 0.0)),), "noise_sd": 0.0}, "noise_sd"),
+            ({"seed": True}, "seed"),
         ],
         ids=["rho-range", "rho-nan", "no-configs", "ragged-widths", "empty-coefficients",
              "coefficient-inf", "noise-nan", "noise-inf", "noise-negative",
              "subsample-over-samples", "duplicate-ids", "n-samples-one", "n-samples-before-subsample",
-             "n-samples-float", "seed-float"],
+             "n-samples-float", "seed-float", "n-samples-not-above-features",
+             "all-zero-coefficients-default-noise", "all-zero-coefficients-zero-noise", "seed-bool"],
     )
     def test_grid_rejects_value_naming_field(self, changes, field):
         with pytest.raises(InvalidValue, match=f"^{field} "):
