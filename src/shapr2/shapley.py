@@ -153,13 +153,14 @@ def coalition_value(predictor: Predictor, x, coalition, background: BackgroundSe
     """
     row = as_float_array(x, "instance", 1)
     background = _background(predictor, row[None], background)
-    idx = sorted(set(int(f) for f in coalition))
+    if not np.iterable(coalition):
+        raise InvalidValue(f"coalition must be an iterable of feature indices, got {coalition!r}")
+    idx = sorted({check_integer(f, "coalition feature index") for f in coalition})
     if idx and not (0 <= idx[0] and idx[-1] < row.shape[0]):
         raise ShapeError("coalition contains out-of-range feature indices")
     if len(idx) == row.shape[0]:
         return float(_predict_batch(predictor, row[None])[0])
-    bits = np.zeros((1, row.shape[0]), dtype=bool)
-    bits[0, idx] = True
+    bits = np.isin(np.arange(row.shape[0]), idx)[None]
     values = _coalition_values(predictor, row[None], np.zeros(1, np.intp), bits, background.rows,
                                _block(1, background.size, row.shape[0]))
     return float(values[0])
@@ -182,10 +183,10 @@ def _coalition_values(predictor: Predictor, x: np.ndarray, owner: np.ndarray, bi
     Mask ``k`` reads both of its inputs through its one owner, ``owner[k]``:
     value ``k`` is the mean prediction over the B x F ``rows``, or with
     ``index`` over ``rows[index[owner[k]]]``, with the columns set in
-    ``bits[k]`` replaced by row ``owner[k]`` of the N x F ``x``. The masks
-    are evaluated a chunk at a time, one predictor call each, in the scratch
-    ``block`` (from :func:`_block`, which fixes the chunk size and B),
-    allocated once by the caller so that it is faulted in only once.
+    ``bits[k]`` replaced by row ``owner[k]`` of the N x F ``x``. Each chunk
+    of masks, one predictor call, is one gather of the rows, then a scatter
+    to the set bits only, in the scratch ``block`` (from :func:`_block`,
+    which fixes the chunk size and B), allocated once to be faulted in once.
     """
     per_call, n_bg, n_features = block.shape
     values = np.empty(bits.shape[0])
@@ -193,8 +194,12 @@ def _coalition_values(predictor: Predictor, x: np.ndarray, owner: np.ndarray, bi
         chunk = slice(start, start + per_call)
         own = owner[chunk]
         part = block[: own.shape[0]]
-        part[...] = rows if index is None else rows[index[own]]
-        np.copyto(part, x[own, None], where=bits[chunk, None, :])
+        if index is None:
+            part[...] = rows
+        else:
+            np.take(rows, index[own], axis=0, out=part)
+        k, f = np.nonzero(bits[chunk])
+        part[k, :, f] = x[own[k], f][:, None]
         batch = _predict_batch(predictor, part.reshape(-1, n_features))
         values[chunk] = batch.reshape(-1, n_bg).mean(axis=1)
     return values
@@ -255,8 +260,8 @@ def exact_shapley(
 
 
 #: Upper bound on the 32-bit words the draws of a block of
-#: :func:`sampled_shapley` hold (192 KiB), unless the block is one instance.
-_DRAW_WORD_LIMIT = 49152
+#: :func:`sampled_shapley` hold (1 MiB), unless the block is one instance.
+_DRAW_WORD_LIMIT = 1 << 18
 
 #: A shuffle step of :func:`_draws` looks this many words ahead for its draw.
 _LOOKAHEAD = 32
@@ -413,9 +418,9 @@ def sampled_shapley(
 
     Instances are drawn and evaluated in blocks: as many as have their draws
     fit in ``_DRAW_WORD_LIMIT`` words, at most ``_BATCH_ROW_LIMIT``, and at
-    least one. A block's draws are made in one call, of :func:`_draws`,
-    which replays numpy's ``choice`` and ``shuffle`` from the streams' raw
-    words, or of :func:`_generator_draws`; its masks go to
+    least one. A block's draws are made in one call, of :func:`_draws` (a
+    replay of the streams' raw words) or, when its fixed steps would cost
+    more than the calls they save, of :func:`_generator_draws`; its masks go to
     :func:`_coalition_values` together, each owned by its permutation, its
     instances are predicted in one call, and its contributions telescope in
     one pass. Each instance's distinct prefixes are evaluated once. With
@@ -444,10 +449,10 @@ def sampled_shapley(
     check_addressable(4 * held, "one instance's draws")
     per_block = max(1, min(_BATCH_ROW_LIMIT, _DRAW_WORD_LIMIT // held))
     # _draws takes about M (F - 1) + 2 sub - 1 vector steps a block, whatever its size, each
-    # costing about three Generator calls, of which an instance makes M (2 M with a subsample);
-    # blocks that make fewer calls a step (a large M, F or sub makes them short) use the loop
+    # costing about four shuffles of the Generator loop, whose permutation costs one shuffle,
+    # or eight with a subsample's choice; blocks that make the loop cheaper use it
     steps = n_perms * n_prefix + (2 * sub - 1 if sub else 0)
-    replay = per_block * n_perms * (1 if sub is None else 2) >= 3 * steps
+    replay = per_block * n_perms * (1 if sub is None else 8) >= 4 * steps
     block = _block(per_block * n_perms * n_prefix, n_bg, n_features)
     phi = np.empty(x.shape)
     for first in range(0, x.shape[0], per_block):

@@ -7,6 +7,7 @@ different code path from the engine's bitmask/batch implementation.
 """
 
 import math
+import re
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -117,6 +118,28 @@ class TestCoalitionValue:
         p = LinearPredictor(0.0, [1.0, 2.0])
         with pytest.raises(ShapeError):
             coalition_value(p, [1.0, 2.0], [5], BackgroundSet(np.zeros((1, 2))))
+
+    @pytest.mark.parametrize(
+        "coalition, message",
+        [([1.7], "1.7"), ([True], "True"), (["2"], "'2'"), ([0, np.True_], repr(np.True_)), ("12", "'1'")],
+        ids=["float", "bool", "str", "numpy-bool", "str-of-digits"],
+    )
+    def test_feature_indices_must_be_integers(self, coalition, message):
+        # int(f) read 1.7 and True as feature 1 and '2' as feature 2
+        model = LinearModel(0.0, [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidValue, match=f"^coalition feature index must be an integer, got {re.escape(message)}$"):
+            coalition_value(model, [1.0, 1.0, 1.0], coalition, BackgroundSet(np.zeros((1, 3))))
+
+    @pytest.mark.parametrize("coalition", [5, np.array(2), None], ids=["int", "0-d-array", "none"])
+    def test_coalition_must_be_iterable(self, coalition):
+        model = LinearModel(0.0, [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidValue, match="^coalition must be an iterable of feature indices, got "):
+            coalition_value(model, [1.0, 1.0, 1.0], coalition, BackgroundSet(np.zeros((1, 3))))
+
+    def test_numpy_integer_indices_and_repeats(self):
+        model, bg = LinearModel(0.0, [1.0, 2.0, 3.0]), BackgroundSet(np.zeros((1, 3)))
+        assert coalition_value(model, [1.0, 1.0, 1.0], np.array([2, 0, 2]), bg) == 4.0
+        assert coalition_value(model, [1.0, 1.0, 1.0], (np.int8(1), 1), bg) == 2.0
 
     @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]])
     def test_instance_must_match_background_width(self, x):
@@ -643,6 +666,24 @@ class TestEngineRegression:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < n * m * (f - 1) * 100 * 4 / 2
 
+    @pytest.mark.parametrize(
+        "n, f, m, k, bound",
+        # the peaks measured with 192 KiB draw blocks (0.73 and 1.15 MB) plus 0.8 MB:
+        # room for the 1 MiB blocks' 0.65 MB, so a block that grows memory further fails
+        [(200, 3, 20, 16, 1.53e6), (300, 6, 10, 32, 1.95e6)],
+        ids=["grid-cell", "explain-stumps-sampled"],
+    )
+    def test_peak_memory_of_one_call(self, n, f, m, k, bound):
+        ds = Dataset(x=np.random.default_rng(0).standard_normal((n, f)))
+        model = LinearModel(0.5, np.linspace(-1.0, 1.0, f))
+        tracemalloc.start()
+        try:
+            sampled_shapley(model, ds, None, SamplingConfig(m, 3, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_linear_model_ignores_row_limit(self, monkeypatch):
         # through a BLAS product these phi were up to 4.4e-16 apart
         model, ds, bg = LinearModel(0.25, np.linspace(-1.0, 2.0, 9)), Dataset(x=_WIDE_X), BackgroundSet(_WIDE_BG)
@@ -828,6 +869,47 @@ class TestBatchedMatchesReference:
         assert recorded.rows == expected.rows
         # a call holds at least one mask; the base value is one call on the background
         assert max(recorded.batches) <= max(limit, bg.shape[0])
+
+
+@st.composite
+def coalition_batches(draw):
+    """``(x, rows, owner, bits, index)`` for :func:`shapr2.shapley._coalition_values`:
+    K masks (an empty and a full one among them when K > 1) on random owners
+    of an N x F ``x``, over B background rows or B' of them per owner."""
+    n, n_features, n_bg = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    x = draw(hnp.arrays(np.float64, (n, n_features), elements=_VALUES))
+    rows = draw(hnp.arrays(np.float64, (n_bg, n_features), elements=_VALUES))
+    n_masks = draw(st.integers(0, 12))
+    owner = draw(hnp.arrays(np.intp, n_masks, elements=st.integers(0, n - 1)))
+    bits = draw(hnp.arrays(np.bool_, (n_masks, n_features)))
+    if n_masks > 1:
+        bits[0], bits[-1] = False, True
+    index = None
+    if draw(st.booleans()):
+        index = draw(hnp.arrays(np.intp, (n, draw(st.integers(1, n_bg))), elements=st.integers(0, n_bg - 1)))
+    return x, rows, owner, bits, index
+
+
+class TestCoalitionValuesMatchOracle:
+    """One chunk fill (a gather of the rows, then a scatter to the set bits)
+    against the mask applied by ``np.where`` to every row, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(batch=coalition_batches(), linear=st.booleans(), limit=st.sampled_from([8192, 7, 1]))
+    def test_bit_for_bit(self, batch, linear, limit):
+        x, rows, owner, bits, index = batch
+        n_features = x.shape[1]
+        if linear:
+            predictor = LinearModel(0.25, np.linspace(-1.0, 2.0, n_features))
+        else:
+            predictor = WavePredictor(n_features)
+        background = rows[None] if index is None else rows[index[owner]]
+        masked = np.where(bits[:, None, :], x[owner][:, None, :], background)
+        expected = predictor.predict_batch(masked.reshape(-1, n_features)).reshape(-1, masked.shape[1]).mean(axis=1)
+        with mock.patch.object(shapr2.shapley, "_BATCH_ROW_LIMIT", limit):
+            block = shapr2.shapley._block(bits.shape[0], masked.shape[1], n_features)
+            values = shapr2.shapley._coalition_values(predictor, x, owner, bits, rows, block, index)
+        assert values.tobytes() == expected.tobytes()
 
 
 @st.composite
