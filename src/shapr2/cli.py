@@ -14,7 +14,10 @@ Contracts:
 * with fixed seeds, output bytes are identical across runs; ``--threads``
   is accepted and validated but changes neither results nor the execution
   path, and provenance records semantic options only, never performance
-  knobs or output paths.
+  knobs or output paths,
+* a run is one OS thread: importing this module sets
+  ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the caller has set
+  it, so OpenBLAS starts no worker; ``import shapr2`` alone sets nothing.
 
 Input schemas:
 
@@ -40,7 +43,10 @@ import tempfile
 import warnings
 from types import SimpleNamespace
 
-import numpy as np
+# see the contract above: OpenBLAS would start a worker at ``import numpy``
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402 (after the thread count is set)
 
 from .data import Dataset, has_json_type, json_floats
 from .errors import FeatureCountExceeded, Shapr2Error, SingularDesign, ValidationError
@@ -583,11 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The options whose value is a number or a list of numbers, which may start with "-".
+_NUMBER_OPTIONS = ("--rhos", "--phi0", "--noise-sd", "--learning-rate", "--target-r2")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(len(argv) - 1)):  # argparse reads "--rhos -0.8,0.0" as two options
-        if argv[i] == "--rhos":
-            argv[i:i + 2] = [f"--rhos={argv[i + 1]}"]
+    for i in reversed(range(len(argv) - 1)):  # argparse reads "--phi0 -1e-05" as two options
+        if argv[i] in _NUMBER_OPTIONS:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -242,48 +242,53 @@ def fit_ols(dataset: Dataset) -> LinearModel:
 
 
 def _split_candidates(x: np.ndarray):
-    """Per feature: (sort order, boundary positions, thresholds).
+    """Every split of every feature, feature-major: ``(orders, positions,
+    features, thresholds, n_left, n_right)``.
 
-    Thresholds sit at midpoints between consecutive distinct sorted values;
-    a boundary at position i splits sorted rows [0..i] from [i+1..].
+    ``orders`` is the F x N table of each feature's stable sort order. The
+    split at flat index ``positions[k]`` of an F x N table in that order
+    takes the sorted rows [0..i] of feature ``features[k]`` left and
+    [i+1..] right. Thresholds sit at midpoints between consecutive distinct
+    sorted values. The counts are floats, which divide without a cast.
     """
-    candidates = []
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        boundaries = np.nonzero(xs[1:] > xs[:-1])[0]
-        thresholds = (xs[boundaries] + xs[boundaries + 1]) / 2.0
-        candidates.append((order, boundaries, thresholds))
-    return candidates
-
-
-def _best_stump(x: np.ndarray, residual: np.ndarray, candidates) -> Stump:
     n = x.shape[0]
-    best_score = -np.inf
-    best: Stump | None = None
-    for f, (order, boundaries, thresholds) in enumerate(candidates):
-        if boundaries.size == 0:
-            continue
-        rs = residual[order]
-        csum = np.cumsum(rs)
-        total = csum[-1]
-        n_left = boundaries + 1
-        left_sum = csum[boundaries]
-        right_sum = total - left_sum
-        n_right = n - n_left
-        # maximizing L^2/nL + R^2/nR minimizes the squared error of the fit
-        scores = left_sum**2 / n_left + right_sum**2 / n_right
-        k = int(np.argmax(scores))
-        if scores[k] > best_score:
-            best_score = float(scores[k])
-            best = Stump(
-                feature_index=f,
-                threshold=float(thresholds[k]),
-                left_value=float(left_sum[k] / n_left[k]),
-                right_value=float(right_sum[k] / n_right[k]),
-            )
-    assert best is not None
-    return best
+    orders = np.ascontiguousarray(np.argsort(x.T, axis=1, kind="stable"))
+    xs = np.take_along_axis(x.T, orders, axis=1)
+    features, boundaries = np.nonzero(xs[:, 1:] > xs[:, :-1])
+    if features.size == 0:
+        raise NoValidSplit("every feature column is constant")
+    thresholds = (xs[features, boundaries] + xs[features, boundaries + 1]) / 2.0
+    n_left = boundaries + 1.0
+    return orders, features * n + boundaries, features, thresholds, n_left, n - n_left
+
+
+def _best_stump(residual: np.ndarray, candidates, scratch) -> Stump:
+    """The best split of ``residual``, every candidate scored in one pass.
+
+    ``scratch`` is ``(csum, left, right, score)``: an F x N buffer and three
+    with one entry per candidate, which every round overwrites rather than
+    allocating its own. ``take`` runs with ``mode="clip"`` because the
+    default mode copies ``out``; every index is in range.
+    """
+    orders, positions, features, thresholds, n_left, n_right = candidates
+    csum, left, right, score = scratch
+    np.cumsum(np.take(residual, orders, out=csum, mode="clip"), axis=1, out=csum)
+    flat = csum.ravel()
+    np.take(flat, positions, out=left, mode="clip")
+    np.take(csum[:, -1], features, out=right, mode="clip")
+    right -= left
+    # maximizing L^2/nL + R^2/nR minimizes the squared error of the fit; the
+    # first maximum is at the lowest feature, then the lowest threshold
+    np.divide(np.square(left, out=score), n_left, out=score)
+    spare = flat[:score.size]  # csum is spent once left and right are gathered
+    score += np.divide(np.square(right, out=spare), n_right, out=spare)
+    k = int(np.argmax(score))
+    return Stump(
+        feature_index=int(features[k]),
+        threshold=float(thresholds[k]),
+        left_value=float(left[k] / n_left[k]),
+        right_value=float(right[k] / n_right[k]),
+    )
 
 
 def check_boosting_options(iterations: int, learning_rate: float) -> None:
@@ -296,8 +301,8 @@ def check_boosting_options(iterations: int, learning_rate: float) -> None:
 
 
 def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
-    """The boosting loop: yields ``(stump, training_r2)`` for each of up to
-    ``iterations`` rounds, where ``training_r2`` is the bounded fit of the
+    """The boosting loop: yields ``(stump, pred)`` for each of up to
+    ``iterations`` rounds, where ``pred`` is the training prediction of the
     ensemble after adding that stump. The ensemble starts at the outcome mean.
     """
     if dataset.y is None:
@@ -307,18 +312,16 @@ def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
     if x.shape[0] < 2:
         raise InvalidValue("need at least 2 rows to boost")
     candidates = _split_candidates(x)
-    if all(b.size == 0 for _, b, _ in candidates):
-        raise NoValidSplit("every feature column is constant")
-
+    scratch = (np.empty(x.shape[::-1]), *np.empty((3, candidates[1].size)))
     pred = np.full(x.shape[0], float(y.mean()))
     for _ in range(iterations):
-        stump = _best_stump(x, y - pred, candidates)
+        stump = _best_stump(y - pred, candidates, scratch)
         pred = pred + learning_rate * np.where(
             x[:, stump.feature_index] <= stump.threshold,
             stump.left_value,
             stump.right_value,
         )
-        yield stump, baseline_r2(y, pred)
+        yield stump, pred
 
 
 def _ensemble(dataset: Dataset, stumps, learning_rate: float) -> StumpEnsemble:
@@ -356,8 +359,9 @@ def tune_iterations(dataset: Dataset, target_r2: float, learning_rate: float = 0
         raise InvalidValue("target_r2 must be in (0, 1)")
     stumps: list[Stump] = []
     best_k, best_r2, best_gap = 0, math.nan, math.inf
-    for stump, r2 in _boost_steps(dataset, TUNE_MAX_ITERATIONS, learning_rate):
+    for stump, pred in _boost_steps(dataset, TUNE_MAX_ITERATIONS, learning_rate):
         stumps.append(stump)
+        r2 = baseline_r2(dataset.y, pred)
         gap = abs(r2 - target_r2)
         if gap < best_gap:
             best_k, best_r2, best_gap = len(stumps), r2, gap

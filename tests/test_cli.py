@@ -618,7 +618,72 @@ def _decompose_golden_in_child(stdout=None, wrap=()):
                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
+def _python(code, **env):
+    """The standard output of ``code`` run in a fresh interpreter on this
+    checkout, whose environment has no OPENBLAS_NUM_THREADS unless ``env`` sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = Path(cli_module.__file__).parents[1]
+    return subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": str(src), **env},
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
+class TestBlasThreads:
+    """The CLI runs on one OS thread; importing the library changes nothing."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_import_starts_no_worker_thread(self):
+        code = "import os, shapr2.cli; print(len(os.listdir('/proc/self/task')))"
+        assert _python(code) == "1\n"
+
+    def test_caller_setting_wins(self):
+        code = "import os, shapr2.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _python(code) == "1\n"
+        assert _python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+    def test_library_import_leaves_the_environment(self):
+        code = ("import os, sys, shapr2; loaded = 'numpy' in sys.modules; import numpy; "
+                "print(loaded, os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert _python(code) == "False None\n"
+
+    def test_public_names_resolve_to_their_definitions(self):
+        code = """
+import sys, shapr2
+assert len(set(shapr2.__all__)) == len(shapr2.__all__) == 33
+for name in shapr2.__all__:
+    value = getattr(shapr2, name)
+    if name == "__version__":
+        assert value == sys.modules["shapr2.report"].VERSION
+    else:
+        assert value.__module__.startswith("shapr2.") and value is getattr(sys.modules[value.__module__], name), name
+assert shapr2.shapley is sys.modules["shapr2.shapley"] and not hasattr(shapr2, "missing")
+print("ok")
+"""
+        assert _python(code) == "ok\n"
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (("decompose", "{golden}", "--phi0", "-1e-05"), ""),
+            (("decompose", "{golden}", "--phi0", "-inf"), "error: phi0 must be finite\n"),
+            (("simulate", "--rhos", "0.0", "--n-samples", "40", "--out", "{tmp}/g.csv",
+              "--noise-sd", "-1e-3"), "error: noise_sd must be >= 0\n"),
+            (("explain", "{csv}", "--target", "outcome", "--model", "stumps",
+              "--learning-rate", "-1e-3"), "error: learning_rate must be in (0, 1]\n"),
+            (("explain", "{csv}", "--target", "outcome", "--model", "stumps",
+              "--target-r2", "-1e-3"), "error: target_r2 must be in (0, 1)\n"),
+        ],
+        ids=["phi0", "phi0-inf", "noise-sd", "learning-rate", "target-r2"],
+    )
+    def test_negative_numbers_are_option_values(self, cli, explain_csv, tmp_path, argv, stderr):
+        # argparse alone reads "-1e-05" as an option: its negative-number pattern has no exponent
+        argv = [a.format(golden=DATA_DIR / "golden_6row.csv", csv=explain_csv, tmp=tmp_path) for a in argv]
+        spaced = cli(*argv)
+        joined = cli(*argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert (spaced.code, spaced.stdout, spaced.stderr) == (joined.code, joined.stdout, joined.stderr)
+        assert spaced.stderr == stderr and spaced.code == (2 if stderr else 0)
+
     @pytest.mark.parametrize(
         "argv",
         [

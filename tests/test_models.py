@@ -3,6 +3,7 @@ against an independently coded reference loop, and the compiled stump
 predictor against a per-stump sum."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from shapr2.errors import (
     InvalidValue,
     NoValidSplit,
     ShapeError,
+    Shapr2Error,
     SingularDesign,
     TargetUnreachable,
 )
@@ -194,7 +196,7 @@ class TestStumpEnsemble:
         ds = Dataset(x=x, y=y)
         from shapr2.models import _boost_steps
 
-        history = [r2 for _, r2 in _boost_steps(ds, 400, 0.03)]
+        history = [baseline_r2(y, pred) for _, pred in _boost_steps(ds, 400, 0.03)]
         diffs = np.diff(np.array(history))
         assert np.all(diffs >= -1e-12)
 
@@ -351,6 +353,92 @@ class TestTuneIterations:
         ds, _ = make_regression(seed=15, n=80)
         model, _, k = tune_iterations(ds, target_r2=0.4, learning_rate=0.05)
         assert model == fit_stump_ensemble(ds, iterations=k, learning_rate=0.05)
+
+
+def per_feature_boost(dataset, iterations, learning_rate):
+    """The oracle of the one-pass split scoring: the boosting loop that scores
+    each feature's splits in a pass of its own and keeps a feature's best
+    split only if it beats every lower feature's. Yields ``(stump, pred)`` as
+    ``models._boost_steps`` does, on the same validated inputs."""
+    x, y = dataset.x, dataset.y
+    n = x.shape[0]
+    candidates = []
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        boundaries = np.nonzero(xs[1:] > xs[:-1])[0]
+        candidates.append((order, boundaries, (xs[boundaries] + xs[boundaries + 1]) / 2.0))
+    if all(b.size == 0 for _, b, _ in candidates):
+        raise NoValidSplit("every feature column is constant")
+    pred = np.full(n, float(y.mean()))
+    for _ in range(iterations):
+        residual = y - pred
+        best_score, best = -np.inf, None
+        for f, (order, boundaries, thresholds) in enumerate(candidates):
+            if boundaries.size == 0:
+                continue
+            csum = np.cumsum(residual[order])
+            n_left = boundaries + 1
+            left_sum = csum[boundaries]
+            right_sum = csum[-1] - left_sum
+            scores = left_sum**2 / n_left + right_sum**2 / (n - n_left)
+            k = int(np.argmax(scores))
+            if scores[k] > best_score:
+                best_score = float(scores[k])
+                best = Stump(f, float(thresholds[k]), float(left_sum[k] / n_left[k]),
+                             float(right_sum[k] / (n - n_left[k])))
+        pred = pred + learning_rate * np.where(
+            x[:, best.feature_index] <= best.threshold, best.left_value, best.right_value
+        )
+        yield best, pred
+
+
+@st.composite
+def tied_datasets(draw):
+    """2 to 40 rows of 1 to 5 integer-valued features (one of them sometimes
+    continuous) and an outcome rounded to 0 or 1 decimals, so that sorted
+    values, split scores and outcomes tie, and whole columns can be constant."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_features = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    x = rng.integers(-2, 3, (n, n_features)).astype(float)
+    if draw(st.booleans()):
+        x[:, rng.integers(n_features)] = rng.standard_normal(n)
+    y = np.round(x.sum(axis=1) + rng.standard_normal(n), draw(st.integers(0, 1)))
+    return Dataset(x=x, y=y)
+
+
+class TestOnePassScoring:
+    """The boosting loop picks, round by round, the stumps of the per-feature
+    oracle, field for field and bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dataset=tied_datasets(), iterations=st.integers(1, 30),
+           learning_rate=st.sampled_from([0.05, 0.3, 1.0]))
+    def test_fit_picks_the_oracle_stumps(self, dataset, iterations, learning_rate):
+        try:
+            expected = tuple(s for s, _ in per_feature_boost(dataset, iterations, learning_rate))
+        except NoValidSplit:
+            with pytest.raises(NoValidSplit, match="^every feature column is constant$"):
+                fit_stump_ensemble(dataset, iterations, learning_rate)
+            return
+        stumps = fit_stump_ensemble(dataset, iterations, learning_rate).stumps
+        assert stumps == expected and repr(stumps) == repr(expected)  # repr tells -0.0 from 0.0
+        assert all(type(s.feature_index) is int for s in stumps)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dataset=tied_datasets(), target_r2=st.floats(0.05, 0.95),
+           learning_rate=st.sampled_from([0.05, 0.3, 1.0]))
+    def test_tune_reaches_the_oracle_fit(self, dataset, target_r2, learning_rate):
+        def outcome(steps):
+            with mock.patch.object(models, "TUNE_MAX_ITERATIONS", 300), \
+                    mock.patch.object(models, "_boost_steps", steps):
+                try:
+                    model, r2, k = tune_iterations(dataset, target_r2, learning_rate)
+                except Shapr2Error as exc:
+                    return type(exc), str(exc)
+            return repr(model.stumps), r2, k
+
+        assert outcome(models._boost_steps) == outcome(per_feature_boost)
 
 
 @st.composite
