@@ -50,7 +50,7 @@ import numpy as np  # noqa: E402 (after the thread count is set)
 
 from .data import Dataset, has_json_type, json_floats
 from .errors import FeatureCountExceeded, Shapr2Error, SingularDesign, ValidationError
-from .metrics import ShapleyMatrix, decompose
+from .metrics import ShapleyMatrix, decompose, outcome_variance
 from .models import TUNE_TOLERANCE, check_boosting_options, fit_ols, fit_stump_ensemble, tune_iterations
 from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
@@ -355,8 +355,6 @@ def cmd_decompose(args, outputs: list) -> None:
 
 def _fit_explain_model(args, dataset: Dataset):
     if args.model == "ols":
-        if args.target_r2 is not None:
-            raise ValidationError("--target-r2 requires --model stumps")
         return fit_ols(dataset)
     if args.target_r2 is not None:
         return tune_iterations(
@@ -383,7 +381,11 @@ def cmd_explain(args, outputs: list) -> None:
     # checked before any input is read, whichever engine and model run
     config = SamplingConfig(args.permutations, args.seed, args.background_subsample)
     check_boosting_options(args.iterations, args.learning_rate)
+    if args.model == "ols" and args.target_r2 is not None:
+        raise ValidationError("--target-r2 requires --model stumps")
     dataset = _load_explain_input(args.csv, args.target)
+    if dataset.n_rows > 1:  # a single row is refused by the fit, with its own message
+        outcome_variance(dataset.y)  # a constant outcome, before the fit and the engine
     try:
         model = _fit_explain_model(args, dataset)
     except SingularDesign as exc:

@@ -36,6 +36,15 @@ def sample_variance(values) -> float:
     return float(np.var(v, ddof=1))
 
 
+def outcome_variance(y: np.ndarray) -> float:
+    """``var(y, ddof=1)`` of a checked outcome vector of at least 2 entries;
+    a constant outcome, which no fit ratio can divide by, raises DegenerateInput."""
+    var_y = float(np.var(y, ddof=1))
+    if var_y == 0.0:
+        raise DegenerateInput("outcome has zero variance")
+    return var_y
+
+
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
     yv = as_float_array(y, "y", 1)
     ph = as_float_array(yhat, "yhat", 1)
@@ -53,10 +62,7 @@ def classical_r2(y, yhat) -> float:
     wanting a bounded metric should use :func:`baseline_r2`.
     """
     yv, ph = _paired(y, yhat)
-    var_y = float(np.var(yv, ddof=1))
-    if var_y == 0.0:
-        raise DegenerateInput("outcome has zero variance")
-    return float(np.var(ph, ddof=1)) / var_y
+    return float(np.var(ph, ddof=1)) / outcome_variance(yv)
 
 
 def _bounded_fit(yv: np.ndarray, ph: np.ndarray) -> tuple[float, float]:
@@ -244,10 +250,7 @@ def feature_r2_decomposition(y, yhat, phi, *, eq7_as_printed: bool = False) -> R
     alongside the baseline value, rather than a division by zero.
     """
     yv, ph, matrix = _checked_inputs(y, yhat, phi)
-    var_y = float(np.var(yv, ddof=1))
-    if var_y == 0.0:
-        raise DegenerateInput("outcome has zero variance")
-
+    var_y = outcome_variance(yv)
     r2b, var_res = _bounded_fit(yv, ph)
     per_feature_var = _modified_residual_variances(yv, ph, matrix.phi)
     with np.errstate(divide="ignore", invalid="ignore"):  # v == 0 gives inf: 0 / 0 clamps to 1

@@ -90,13 +90,12 @@ class StumpEnsemble:
 
     Construction validates the parameters and compiles ``_tables``: for each
     feature with at least one stump, ``(feature, thresholds, steps)`` where
-    ``thresholds`` are the feature's stump thresholds, sorted, and
+    ``thresholds`` are the feature's distinct stump thresholds, sorted, and
     ``steps[j]`` is the summed scaled leaf value of its stumps for any ``x``
-    with ``thresholds[j-1] < x <= thresholds[j]``. A repeated threshold
-    leaves a step that no ``x`` reaches; it is kept rather than merged with
-    ``np.unique``, which would import ``numpy.ma`` (about 1 MB resident) on
-    every run. The tables are not fields, so equality, hashing and repr see
-    only the stumps.
+    with ``thresholds[j-1] < x <= thresholds[j]``. Equal thresholds are merged
+    by comparing neighbours in the sorted thresholds, not with ``np.unique``,
+    which would import ``numpy.ma`` (about 1 MB resident) on every run. The
+    tables are not fields, so equality, hashing and repr see only the stumps.
     """
 
     init_value: float
@@ -132,6 +131,9 @@ class StumpEnsemble:
                 np.concatenate(([0.0], np.cumsum(right)))
                 + np.concatenate((np.cumsum(left[::-1])[::-1], [0.0]))
             )
+            # no x falls between equal thresholds: keep the last of each run and the step above it
+            last = np.append(thresholds[1:] != thresholds[:-1], True)
+            thresholds, steps = thresholds[last], np.concatenate((steps[:1], steps[1:][last]))
             thresholds.flags.writeable = False
             steps.flags.writeable = False
             tables.append((f, thresholds, steps))

@@ -233,6 +233,8 @@ def exact_shapley(
     # weight of a coalition S (not containing f): |S|! (F-|S|-1)! / F! = 1 / (F C(F-1, |S|))
     size_weight = np.array([1 / (n_features * math.comb(n_features - 1, s)) for s in range(n_features)])
     masks_without = [np.flatnonzero(~bits[:, f]) for f in range(n_features)]
+    # per feature: the masks with f, the same masks without f, and their weights
+    pairs = [(sel | (1 << f), sel, size_weight[popcount[sel]]) for f, sel in enumerate(masks_without)]
 
     base_value = float(_predict_batch(predictor, background.rows).mean())
     block = _block(n_masks - 1, background.size, n_features)
@@ -247,10 +249,8 @@ def exact_shapley(
         # column: each of its coalition-value differences cancels bit-for-bit
         instance[:] = i
         values[1:] = _coalition_values(predictor, x, instance, bits[1:], background.rows, block)
-        for f in range(n_features):
-            sel = masks_without[f]
-            deltas = values[sel | (1 << f)] - values[sel]
-            phi[i, f] = float(size_weight[popcount[sel]] @ deltas)
+        for f, (with_f, without_f, weights) in enumerate(pairs):
+            phi[i, f] = float(weights @ (values[with_f] - values[without_f]))
     return ShapleyMatrix(
         phi=phi,
         phi0=base_value,

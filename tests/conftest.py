@@ -36,19 +36,21 @@ def cli():
 # Random stump ensembles for property tests
 
 _LEAVES = st.floats(-5.0, 5.0, allow_nan=False)
+_POOLS = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=4)
 
 
 @st.composite
-def stump_cases(draw, n_inputs=1, max_rows=5, extra=st.nothing()):
+def stump_cases(draw, n_inputs=1, max_rows=5, extra=st.nothing(), pools=_POOLS):
     """``(model, *inputs)``: a stump ensemble, possibly without stumps, and
     ``n_inputs`` arrays of rows for it.
 
-    Thresholds come from a small pool of floats, so one feature often carries
-    a threshold twice. Each input cell is a threshold from that pool (so it
-    sits exactly on a split), any float in [-3, 3], or a draw of ``extra``.
+    Thresholds come from a small pool of floats, a draw of ``pools``, so one
+    feature often carries a threshold twice. Each input cell is a threshold
+    from that pool (so it sits exactly on a split), any float in [-3, 3], or
+    a draw of ``extra``.
     """
     n_features = draw(st.integers(1, 4))
-    pool = draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=4))
+    pool = draw(pools)
     stump = st.builds(
         Stump,
         feature_index=st.integers(0, n_features - 1),

@@ -282,11 +282,26 @@ class TestExplain:
         assert 0.29 <= doc["baseline_r2"] <= 0.31
         assert doc["provenance"]["options"]["iterations"] is not None
 
-    def test_target_r2_requires_stumps(self, cli, explain_csv):
-        result = cli(
-            "explain", str(explain_csv), "--target", "outcome", "--target-r2", "0.3"
-        )
-        assert result.code == 2
+    def test_target_r2_requires_stumps(self, cli, explain_csv, tmp_path):
+        for path in (explain_csv, tmp_path / "missing.csv"):  # checked before the input is read
+            result = cli("explain", str(path), "--target", "outcome", "--target-r2", "0.3")
+            assert (result.code, result.stderr) == (2, "error: --target-r2 requires --model stumps\n")
+
+    @pytest.mark.parametrize("sampled", [(), ("--sampled",)], ids=["exact", "sampled"])
+    @pytest.mark.parametrize(
+        "model",
+        [("--model", "ols"), ("--model", "stumps", "--iterations", "5"),
+         ("--model", "stumps", "--target-r2", "0.5")],
+        ids=["ols", "stumps", "target-r2"],
+    )
+    def test_constant_target_refused_before_the_fit(self, cli, tmp_path, model, sampled):
+        path = tmp_path / "constant.csv"
+        write_csv(path, ["y", "a", "b"], [[3.0, 1.0, 2.0], [3.0, 2.0, 5.0], [3.0, 3.0, 1.0], [3.0, 4.0, 4.0]])
+        with mock.patch.object(cli_module, "_fit_explain_model", side_effect=AssertionError("fit")):
+            result = cli("explain", str(path), "--target", "y", *model, *sampled,
+                         "--out", str(tmp_path / "r.json"), "--emit-shap", str(tmp_path / "phi.csv"))
+        assert (result.code, result.stdout, result.stderr) == (2, "", "error: outcome has zero variance\n")
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_sampled_deterministic_across_runs_and_threads(self, cli, explain_csv):
         args = (

@@ -241,6 +241,23 @@ def per_stump_predict(model, x):
     return np.array(out)
 
 
+def repeated_table_predict(model, x):
+    """Reference kernel: per feature, the sorted thresholds with their
+    repeats, the steps between them from the two cumulative leaf sums, and
+    one ``searchsorted``, summed over features in ascending order."""
+    out = np.full(x.shape[0], model.init_value)
+    for f in sorted({s.feature_index for s in model.stumps}):
+        mine = sorted((s for s in model.stumps if s.feature_index == f), key=lambda s: s.threshold)
+        left = np.array([s.left_value for s in mine])
+        right = np.array([s.right_value for s in mine])
+        steps = model.learning_rate * (
+            np.concatenate(([0.0], np.cumsum(right)))
+            + np.concatenate((np.cumsum(left[::-1])[::-1], [0.0]))
+        )
+        out += steps[np.searchsorted(np.array([s.threshold for s in mine]), x[:, f])]
+    return out
+
+
 # feature 0 repeats the threshold 0.5, feature 1 has no stump
 _REPEATED = StumpEnsemble(
     init_value=1.5,
@@ -270,6 +287,20 @@ class TestCompiledStumpPredictor:
         assert np.all(np.abs(batch - per_stump_predict(model, x)) <= 1e-12 * scale)
         for row in x:
             assert model.predict(row) == model.predict_batch(row[None])[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=stump_cases(
+        pools=st.just((-1.0, -0.0, 0.0, 1e-300, 0.5, 2.5)),
+        extra=st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    ))
+    @example(case=(_REPEATED, np.array([[0.5, 7.0, 0.0], [-1.0, 0.0, -0.0], [math.nan, math.inf, -math.inf]])))
+    def test_one_entry_per_distinct_threshold(self, case):
+        model, x = case
+        for _, thresholds, steps in model._tables:
+            assert np.all(thresholds[1:] > thresholds[:-1])
+            assert len(steps) == len(thresholds) + 1
+        expected = repeated_table_predict(model, x)
+        assert np.array_equal(model.predict_batch(x).view(np.uint64), expected.view(np.uint64))
 
     def test_tables_are_not_fields(self):
         twin = StumpEnsemble(1.5, _REPEATED.stumps, 0.3, 3)
