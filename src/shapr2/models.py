@@ -225,15 +225,15 @@ def fit_ols(dataset: Dataset) -> LinearModel:
     """Least squares with intercept, solved via QR orthogonalization.
 
     QR rather than normal equations so near-collinear simulation designs
-    don't lose half the working precision; exact rank deficiency raises
-    SingularDesign.
+    don't lose half the working precision; too few rows (n <= F) raise
+    InvalidValue, and exact rank deficiency raises SingularDesign.
     """
     if dataset.y is None:
         raise InvalidValue("dataset has no outcome column to fit")
     x, y = dataset.x, dataset.y
     n, f = x.shape
     if n <= f:
-        raise SingularDesign(f"need more rows ({n}) than features ({f}) plus intercept")
+        raise InvalidValue(f"need more rows ({n}) than features ({f}) plus intercept")
     design = np.column_stack([np.ones(n), x])
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diag(r))

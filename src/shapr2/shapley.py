@@ -54,7 +54,9 @@ def derive_seed(master_seed: int, *path: int) -> int:
 @runtime_checkable
 class Predictor(Protocol):
     """Deterministic scalar-valued model over fixed-length feature rows; a
-    row's value does not depend on the other rows in its call."""
+    row's value does not depend on the other rows in its call. An optional
+    ``predict_batch(rows)`` gets an N x F float array whose memory order is
+    the engines' choice (column-major today), so it must not assume C order."""
 
     feature_count: int
 
@@ -122,7 +124,7 @@ def _predict_batch(predictor: Predictor, rows: np.ndarray) -> np.ndarray:
     if batch is not None:
         out = np.asarray(batch(rows), dtype=float)
     else:
-        out = np.array([float(predictor.predict(row)) for row in rows])
+        out = np.array([float(predictor.predict(row)) for row in np.ascontiguousarray(rows)])
     if not np.all(np.isfinite(out)):
         raise InvalidValue("predictor returned a non-finite value")
     return out
@@ -172,8 +174,9 @@ _BATCH_ROW_LIMIT = 8192
 
 
 def _block(n_masks: int, n_bg: int, n_features: int) -> np.ndarray:
-    """Scratch for one predictor call: as many of ``n_masks`` masks as fit, at least one."""
-    return np.empty((max(1, min(n_masks, _BATCH_ROW_LIMIT // n_bg)), n_bg, n_features))
+    """Flat F x per_call x B scratch for one predictor call (as many of ``n_masks``
+    masks as fit, at least one): batches are its column-major transposes, not C order."""
+    return np.empty(n_features * max(1, min(n_masks, _BATCH_ROW_LIMIT // n_bg)) * n_bg)
 
 
 def _coalition_values(predictor: Predictor, x: np.ndarray, owner: np.ndarray, bits: np.ndarray,
@@ -184,23 +187,26 @@ def _coalition_values(predictor: Predictor, x: np.ndarray, owner: np.ndarray, bi
     value ``k`` is the mean prediction over the B x F ``rows``, or with
     ``index`` over ``rows[index[owner[k]]]``, with the columns set in
     ``bits[k]`` replaced by row ``owner[k]`` of the N x F ``x``. Each chunk
-    of masks, one predictor call, is one gather of the rows, then a scatter
-    to the set bits only, in the scratch ``block`` (from :func:`_block`,
-    which fixes the chunk size and B), allocated once to be faulted in once.
+    of masks, one predictor call, is one gather of the rows' columns, then a
+    scatter to the set bits only, feature-major in the scratch ``block``
+    (from :func:`_block`, which fixes the chunk size), allocated once to be
+    faulted in once; the predictor gets its transpose, a column-major batch.
     """
-    per_call, n_bg, n_features = block.shape
+    columns = np.ascontiguousarray(rows.T)
+    n_features, n_bg = columns.shape[0], columns.shape[1] if index is None else index.shape[1]
+    per_call = block.size // (n_features * n_bg)
     values = np.empty(bits.shape[0])
     for start in range(0, bits.shape[0], per_call):
         chunk = slice(start, start + per_call)
         own = owner[chunk]
-        part = block[: own.shape[0]]
+        part = block[: n_features * own.shape[0] * n_bg].reshape(n_features, -1, n_bg)
         if index is None:
-            part[...] = rows
+            part[...] = columns[:, None, :]
         else:
-            np.take(rows, index[own], axis=0, out=part)
+            np.take(columns, index[own], axis=1, out=part)
         k, f = np.nonzero(bits[chunk])
-        part[k, :, f] = x[own[k], f][:, None]
-        batch = _predict_batch(predictor, part.reshape(-1, n_features))
+        part[f, k, :] = x[own[k], f][:, None]
+        batch = _predict_batch(predictor, part.reshape(n_features, -1).T)
         values[chunk] = batch.reshape(-1, n_bg).mean(axis=1)
     return values
 

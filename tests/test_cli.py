@@ -389,6 +389,19 @@ class TestExplain:
         assert result.code == 3
         assert "hint" in result.stderr
 
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0], [4.0, 0.5, -1.0]]],
+                             ids=["one-row", "rows-equal-features"])
+    def test_too_few_rows_for_ols_exit_two(self, cli, tmp_path, rows):
+        # an input error, not a collinear design: exit 2 and no hint
+        path = tmp_path / "short.csv"
+        write_csv(path, ["t", "a", "b"], rows)
+        (out := tmp_path / "out").mkdir()
+        result = cli("explain", str(path), "--target", "t", "--model", "ols", "--out", str(out / "r.json"),
+                     "--emit-shap", str(out / "phi.csv"), "--emit-model", str(out / "m.json"))
+        assert result.code == 2 and result.stdout == ""
+        assert result.stderr == f"error: need more rows ({len(rows)}) than features (2) plus intercept\n"
+        assert list(out.iterdir()) == []
+
     def test_feature_cap_exit_three_with_hint(self, cli, tmp_path):
         rng = np.random.default_rng(3)
         n, f = 24, 17

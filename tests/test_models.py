@@ -82,7 +82,7 @@ class TestFitOls:
             fit_ols(Dataset(x=np.zeros((5, 1))))
 
     def test_too_few_rows(self):
-        with pytest.raises(SingularDesign):
+        with pytest.raises(InvalidValue):
             fit_ols(Dataset(x=np.eye(3), y=np.ones(3)))
 
     def test_residual_orthogonality(self):

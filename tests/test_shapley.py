@@ -433,10 +433,13 @@ class TestConfigValidation:
 
 class RowProductPredictor:
     """:class:`ProductPredictor` without ``predict_batch``: the engines call
-    ``predict`` once per row."""
+    ``predict`` once per row, a C-contiguous one whatever their batch layout."""
 
     feature_count = 3
-    predict = ProductPredictor.predict
+
+    def predict(self, row):
+        assert row.flags.c_contiguous
+        return ProductPredictor.predict(self, row)
 
 
 class TestPerRowFallback:
@@ -446,6 +449,7 @@ class TestPerRowFallback:
         bg = BackgroundSet(rng.standard_normal((4, 3)))
         for run in (
             lambda p: exact_shapley(p, ds, bg),
+            lambda p: sampled_shapley(p, ds, bg, SamplingConfig(3, 5)),
             lambda p: sampled_shapley(p, ds, bg, SamplingConfig(3, 5, background_subsample=2)),
         ):
             batched, per_row = run(ProductPredictor()), run(RowProductPredictor())
@@ -530,6 +534,52 @@ _PIN_F1_PHI = [[-0.32724300947671436], [1.0035803600431348], [-0.129755124818869
 # drew with Generator.choice and Generator.shuffle instance by instance
 _PIN_WIDE_RNG = np.random.default_rng(2025)
 _PIN_X6, _PIN_BG6 = _PIN_WIDE_RNG.standard_normal((3, 6)), _PIN_WIDE_RNG.standard_normal((40, 6))
+
+
+class LayoutRecorder:
+    """Keeps every batch asked of a predictor, to check its memory layout."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.feature_count = inner.feature_count
+        self.batches = []
+
+    def predict(self, row):
+        return self.inner.predict(row)
+
+    def predict_batch(self, rows):
+        self.batches.append(rows)
+        return self.inner.predict_batch(rows)
+
+
+class TestBatchLayout:
+    """Coalition batches reach the predictor column-major, as views of the
+    engines' scratch: each feature column is contiguous and nothing is copied."""
+
+    @pytest.mark.parametrize("limit", [8192, 7, 13])
+    def test_coalition_batches_are_column_major_views(self, monkeypatch, limit):
+        monkeypatch.setattr(shapr2.shapley, "_BATCH_ROW_LIMIT", limit)
+        rng = np.random.default_rng(13)
+        ds, bg = Dataset(x=rng.standard_normal((2, 3))), BackgroundSet(rng.standard_normal((3, 3)))
+        runs = [
+            lambda p: exact_shapley(p, ds, bg),
+            lambda p: sampled_shapley(p, ds, bg, SamplingConfig(4, 7)),
+            lambda p: sampled_shapley(p, ds, bg, SamplingConfig(4, 7, 2)),
+            lambda p: coalition_value(p, ds.x[0], [1], bg),
+        ]
+        tails = []
+        for run in runs:
+            recorder = LayoutRecorder(ProductPredictor())
+            run(recorder)
+            # the base value and the instances' own predictions are the inputs themselves
+            coalition = [rows for rows in recorder.batches
+                         if not (np.shares_memory(rows, ds.x) or np.shares_memory(rows, bg.rows))]
+            assert coalition
+            for rows in coalition:
+                assert rows.shape[1] == 3 and rows.flags.f_contiguous and not rows.flags.owndata
+            tails.append(min(map(len, coalition)) < max(map(len, coalition)))
+        # the small limits end the exact and the subsampled runs' masks in a shorter chunk
+        assert tails[0] == tails[2] == (limit < 8192)
 
 
 class TestEngineRegression:
