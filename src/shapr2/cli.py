@@ -489,16 +489,12 @@ def _grid_summary(grid) -> dict:
             if cell.status == "completed"
         ]
         sigmas = [cell.sigma_unique for _, cell in completed]
-        violations = sum(
-            1 for a, b in zip(sigmas, sigmas[1:]) if b > a
-        )
-        at_zero = next(
-            (cell.sigma_unique for rho, cell in completed if rho == 0.0), None
-        )
+        violations = sum(1 for a, b in zip(sigmas, sigmas[1:]) if b > a)
+        at_zero = next((cell.sigma_unique for rho, cell in completed if rho == 0.0), None)
         config_rows.append(
             {
                 "config_id": config_id,
-                "coefficients": [float(c) for c in coefficients],
+                "coefficients": list(coefficients),
                 "completed": len(completed),
                 "skipped_non_pd": len(row) - len(completed),
                 "sigma_unique_at_rho_zero": at_zero,
@@ -508,7 +504,7 @@ def _grid_summary(grid) -> dict:
             }
         )
     return {
-        "rho_values": [float(r) for r in spec.rho_values],
+        "rho_values": list(spec.rho_values),
         "n_samples": spec.n_samples,
         "estimator": spec.estimator,
         "seed": spec.seed,

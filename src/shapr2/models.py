@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, as_float_array, has_json_type, json_floats
+from .data import Dataset, as_float_array, check_integer, has_json_type, json_floats
 from .errors import (
     InvalidValue,
     NoValidSplit,
@@ -104,12 +104,13 @@ class StumpEnsemble:
     n_features: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_features", check_integer(self.n_features, "n_features"))
         if self.n_features < 1:
             raise ShapeError("n_features must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidValue("learning_rate must be in (0, 1]")
         for s in self.stumps:
-            if not 0 <= s.feature_index < self.n_features:
+            if not 0 <= check_integer(s.feature_index, "stump feature_index") < self.n_features:
                 raise ShapeError(
                     f"stump feature_index {s.feature_index} outside [0, {self.n_features})"
                 )
@@ -150,7 +151,7 @@ class StumpEnsemble:
         # searchsorted's side="left" sends x == threshold left, and NaN,
         # which sorts last, right, as ``x <= threshold`` does
         x = _rows(rows, self.n_features)
-        out = np.full(x.shape[0], self.init_value)
+        out = np.full(x.shape[0], self.init_value, dtype=float)  # a float32 init_value would set the dtype
         for f, thresholds, steps in self._tables:
             out += steps[np.searchsorted(thresholds, x[:, f])]
         return out
@@ -162,7 +163,7 @@ def model_document(model) -> dict:
         return {
             "type": "linear",
             "intercept": model.intercept,
-            "coefficients": [float(c) for c in model.coefficients],
+            "coefficients": list(model.coefficients),
         }
     if isinstance(model, StumpEnsemble):
         return {
@@ -296,7 +297,7 @@ def _best_stump(residual: np.ndarray, candidates, scratch) -> Stump:
 def check_boosting_options(iterations: int, learning_rate: float) -> None:
     """The rules on the boosting options, checked by the boosting loop and
     by ``explain`` whichever model it fits."""
-    if iterations < 1:
+    if check_integer(iterations, "iterations") < 1:
         raise InvalidValue("iterations must be >= 1")
     if not 0.0 < learning_rate <= 1.0:
         raise InvalidValue("learning_rate must be in (0, 1]")

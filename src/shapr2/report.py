@@ -5,16 +5,18 @@ The report schema (stable keys):
     {"baseline_r2", "features": [{"name", "r2", "share", "variance_ratio",
      "rank"}], "sigma_unique_raw", "sigma_unique", "provenance", "warnings"}
 
-Floats are written with 17 significant digits so every value round-trips
-losslessly and two runs of the same command produce identical bytes. The
-emitter below exists because the stdlib json module offers no hook over float
-formatting.
+JSON numbers are Python and numpy integer and floating scalars, formatted here
+alone (a numpy bool and a non-finite float are refused). Floats carry 17 significant
+digits of their float64 value, so every value round-trips losslessly and two runs
+of the same command produce identical bytes; the stdlib json module has no such hook.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from .errors import InvalidValue
 from .metrics import R2Decomposition
@@ -54,9 +56,9 @@ def _emit(value, indent: int, pieces: list[str]) -> None:
         pieces.append("true" if value else "false")
     elif value is None:
         pieces.append("null")
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
+    elif isinstance(value, (int, np.integer)):  # np.bool_ is neither
+        pieces.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
         pieces.append(format_float(value))
     elif isinstance(value, str):
         pieces.append(json.dumps(value))
@@ -81,15 +83,15 @@ def build_report(
     features = [
         {
             "name": result.feature_names[f],
-            "r2": float(result.feature_r2[f]),
-            "share": float(result.feature_shares[f]),
-            "variance_ratio": float(result.variance_ratios[f]),
+            "r2": result.feature_r2[f],
+            "share": result.feature_shares[f],
+            "variance_ratio": result.variance_ratios[f],
             "rank": ranks[f],
         }
         for f in range(len(result.feature_names))
     ]
     return {
-        "baseline_r2": float(result.baseline_r2),
+        "baseline_r2": result.baseline_r2,
         "features": features,
         "sigma_unique_raw": result.sigma_unique_raw,
         "sigma_unique": result.sigma_unique,

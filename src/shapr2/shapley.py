@@ -102,9 +102,9 @@ class BackgroundSet:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Fully determines a sampled attribution run. The seed is mandatory:
-    no ambient entropy is ever consulted. Its checks are the one owner of the
-    rules on the sampling options and the seed, on every route."""
+    """Fully determines a sampled attribution run. The seed is mandatory: outputs
+    never depend on the OS entropy that numpy's ``Philox(key=...)`` draws and the
+    key overrides. Its checks own the sampling options' and the seed's rules on every route."""
 
     permutations_per_instance: int
     seed: int
@@ -203,7 +203,8 @@ def _coalition_values(predictor: Predictor, x: np.ndarray, owner: np.ndarray, bi
         if index is None:
             part[...] = columns[:, None, :]
         else:
-            np.take(columns, index[own], axis=1, out=part)
+            # mode="clip" because the default mode copies out; every index is one of the engine's draws
+            np.take(columns, index[own], axis=1, out=part, mode="clip")
         k, f = np.nonzero(bits[chunk])
         part[f, k, :] = x[own[k], f][:, None]
         batch = _predict_batch(predictor, part.reshape(n_features, -1).T)

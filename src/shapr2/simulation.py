@@ -82,9 +82,9 @@ class UniformCorrelationSpec:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         _check_cell_values(self.rho, self.coefficients, self.noise_sd, self.n_samples)
         check_seed(self.seed)
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
     @property
     def feature_count(self) -> int:
@@ -115,6 +115,8 @@ class GridSpec:
         """Every cell's values obey the cell rules, and all coefficient
         configs have distinct ids and one width, which is the grid's feature
         count."""
+        configs = tuple((config_id, tuple(float(c) for c in cs)) for config_id, cs in self.coefficient_configs)
+        object.__setattr__(self, "coefficient_configs", configs)
         if not self.coefficient_configs:
             raise InvalidValue("coefficient_configs is empty")
         if len({len(c) for _, c in self.coefficient_configs}) != 1:
@@ -245,17 +247,13 @@ def run_grid(grid: GridSpec) -> SimulationGrid:
     """
     cells = []
     for c, (_, coefficients) in enumerate(grid.coefficient_configs):
-        noise_sd = (
-            float(np.linalg.norm(coefficients))
-            if grid.noise_sd is None
-            else grid.noise_sd
-        )
+        noise_sd = float(np.linalg.norm(coefficients)) if grid.noise_sd is None else grid.noise_sd
         row = []
         for r, rho in enumerate(grid.rho_values):
             spec = UniformCorrelationSpec(
                 rho=rho,
                 n_samples=grid.n_samples,
-                coefficients=tuple(coefficients),
+                coefficients=coefficients,
                 noise_sd=noise_sd,
                 seed=derive_seed(grid.seed, r, c),
             )

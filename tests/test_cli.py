@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -619,6 +621,22 @@ class TestParserContract:
     def test_missing_file(self, cli):
         result = cli("decompose", "/nonexistent/file.csv")
         assert result.code == 2
+
+    def test_readme_examples_parse(self):
+        """Every ``shapr2`` command in README's ``sh`` blocks, with its
+        backslash continuations joined and its trailing comment dropped,
+        parses with the CLI's parser."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        commands = []
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["shapr2"]:
+                    commands.append(argv[1:])
+        assert len(commands) >= 10  # a fence the pattern misses drops its commands
+        parser = cli_module.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]
 
 
 def _assert_input_error(result):

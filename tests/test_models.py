@@ -2,7 +2,9 @@
 against an independently coded reference loop, and the compiled stump
 predictor against a per-stump sum."""
 
+import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -30,7 +32,8 @@ from shapr2.errors import (
     TargetUnreachable,
 )
 from shapr2 import models
-from shapr2.models import Stump
+from shapr2.models import Stump, model_document, model_from_document
+from shapr2.report import dumps
 
 
 def make_regression(seed=0, n=40, f=4, noise=0.5):
@@ -502,3 +505,78 @@ class TestRowIndependence:
         assert model.predict_batch(rows[start:stop]).tobytes() == whole[start:stop].tobytes()
         for row, value in zip(rows, whole):
             assert np.float64(model.predict(row)).tobytes() == value.tobytes()
+
+
+_INTEGER_TYPES = (int, np.int32, np.int64)
+_FLOAT_TYPES = (float, np.float32, np.float64)
+
+
+@st.composite
+def numpy_scalar_models(draw):
+    """A ``LinearModel`` or a ``StumpEnsemble`` of up to 5 stumps whose every
+    field is a Python or a numpy scalar, each of a type of its own."""
+
+    def integer(low, high):
+        return draw(st.sampled_from(_INTEGER_TYPES))(draw(st.integers(low, high)))
+
+    def number(low=-1e6, high=1e6, **bounds):
+        kind = draw(st.sampled_from(_FLOAT_TYPES))
+        return kind(draw(st.floats(low, high, width=32 if kind is np.float32 else 64, **bounds)))
+
+    n_features = integer(1, 6)
+    if draw(st.booleans()):
+        return LinearModel(number(), [number() for _ in range(n_features)])
+    stumps = tuple(
+        Stump(integer(0, n_features - 1), number(), number(), number())
+        for _ in range(draw(st.integers(0, 5)))
+    )
+    return StumpEnsemble(number(), stumps, number(0.0, 1.0, exclude_min=True), n_features)
+
+
+def _fields(model):
+    """A model's fields, with a linear model's coefficients as a tuple: two
+    ``LinearModel`` compare through their arrays, which have no truth value."""
+    if isinstance(model, LinearModel):
+        return model.intercept, tuple(model.coefficients)
+    return model
+
+
+class TestNumpyScalars:
+    """Model parameters may be numpy scalars: the constructors check integers
+    through ``check_integer`` and the JSON emitter writes numpy numbers."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(model=numpy_scalar_models())
+    def test_document_round_trip(self, model):
+        rebuilt = model_from_document(json.loads(dumps(model_document(model))))
+        assert _fields(rebuilt) == _fields(model)
+        # equal values, not bytes: a negative zero is written "-0", which json reads back as 0
+        rows = np.linspace(-2.0, 2.0, 4 * model.feature_count).reshape(4, -1)
+        assert np.array_equal(rebuilt.predict_batch(rows), model.predict_batch(rows))
+
+    @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "string"])
+    def test_iterations_must_be_an_integer(self, value):
+        ds, _ = make_regression(seed=10)
+        message = f"^iterations must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidValue, match=message):
+            fit_stump_ensemble(ds, iterations=value)
+        with pytest.raises(InvalidValue, match=message):
+            models.check_boosting_options(value, 0.1)
+
+    @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+    def test_n_features_must_be_an_integer(self, value):
+        with pytest.raises(InvalidValue, match=f"^n_features must be an integer, got {value!r}$"):
+            StumpEnsemble(0.0, (), 0.1, value)
+
+    @pytest.mark.parametrize("value", [True, 0.0], ids=["bool", "float"])
+    def test_feature_index_must_be_an_integer(self, value):
+        with pytest.raises(InvalidValue, match=f"^stump feature_index must be an integer, got {value!r}$"):
+            StumpEnsemble(0.0, (Stump(value, 0.0, 1.0, 2.0),), 0.1, 2)
+
+    def test_numpy_integers_are_accepted(self):
+        ds, _ = make_regression(seed=10)
+        assert len(fit_stump_ensemble(ds, iterations=np.int32(3)).stumps) == 3
+        model = StumpEnsemble(0.0, (Stump(np.int64(1), 0.0, 1.0, 2.0),), 0.5, np.int32(2))
+        assert type(model.n_features) is int
+        assert model.predict_batch(np.array([[0.0, -1.0], [0.0, 1.0]])).tolist() == [0.5, 1.0]
+        assert json.loads(dumps(model_document(model)))["stumps"][0]["feature_index"] == 1

@@ -16,7 +16,9 @@ from shapr2 import (
     sample_mvn,
     uniform_correlation_matrix,
 )
+from shapr2.cli import _grid_summary
 from shapr2.errors import InvalidMatrix, InvalidValue, NonPositiveDefinite
+from shapr2.report import dumps
 from shapr2.simulation import derive_seed
 
 
@@ -315,3 +317,26 @@ class TestRunGrid:
         assert status == "skipped_non_pd" and sigma is None and r2 is None
         completed = [r for r in rows if r[2] == "completed"]
         assert all(isinstance(r[3], float) for r in completed)
+
+
+class TestArrayCoefficients:
+    """Coefficients given as numpy arrays make the same spec as float tuples."""
+
+    def test_cell_spec(self):
+        values = {"rho": 0.1, "n_samples": 10, "noise_sd": 1.0, "seed": 1}
+        array = UniformCorrelationSpec(coefficients=np.array([1.0, 2.0]), **values)
+        plain = UniformCorrelationSpec(coefficients=(1.0, 2.0), **values)
+        assert array == plain and hash(array) == hash(plain)
+        assert run_cell(array) == run_cell(plain)
+
+    @pytest.mark.parametrize("estimator", ["linear", "sampled"])
+    def test_grid(self, estimator):
+        configs = (("equal", (1.0, 1.0, 1.0)), ("one_zero", (1, 1, 0)))
+        arrays = tuple((config_id, np.array(c, dtype=np.float32)) for config_id, c in configs)
+        values = {"rho_values": (0.0, 0.4, -0.8), "n_samples": 40, "seed": 3,
+                  "estimator": estimator, "permutations": 4}
+        array, plain = GridSpec(coefficient_configs=arrays, **values), GridSpec(coefficient_configs=configs, **values)
+        assert array == plain and hash(array) == hash(plain)
+        array_grid, plain_grid = run_grid(array), run_grid(plain)
+        assert array_grid.rows() == plain_grid.rows()
+        assert dumps(_grid_summary(array_grid)) == dumps(_grid_summary(plain_grid))
