@@ -47,7 +47,7 @@ def _rows(rows, n_features: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """``intercept + coefficients @ x``; :func:`~shapr2.data.as_float_array` checks the coefficients."""
 
@@ -59,6 +59,12 @@ class LinearModel:
         if not math.isfinite(float(self.intercept)):
             raise InvalidValue("model parameters must be finite")
         object.__setattr__(self, "intercept", float(self.intercept))
+
+    def __eq__(self, other):  # by value: the generated __eq__ asks an array for its truth value
+        return type(other) is type(self) and (self.intercept, self.coefficients.tolist()) == (other.intercept, other.coefficients.tolist())
+
+    def __hash__(self):  # of values, not tobytes(): 0.0 == -0.0, so equal models hash equal
+        return hash((self.intercept, tuple(self.coefficients.tolist())))
 
     @property
     def feature_count(self) -> int:

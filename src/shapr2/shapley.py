@@ -266,7 +266,7 @@ def exact_shapley(
     )
 
 
-#: Upper bound on the 32-bit words the draws of a block of
+#: Upper bound on the 32-bit words the arrays of a block of
 #: :func:`sampled_shapley` hold (1 MiB), unless the block is one instance.
 _DRAW_WORD_LIMIT = 1 << 18
 
@@ -291,26 +291,27 @@ def _generator_draws(seed: int, instances, n_perms: int, n_features: int, n_rows
     ``Generator(Philox(key=seed ^ i))`` draws, per permutation,
     ``choice(n_rows, sub, replace=False)`` (with a subsample) and then a
     shuffle of ``arange(F)``. Returns the permutations and the subsets, M
-    per instance."""
-    perms = np.empty((len(instances), n_perms, n_features), dtype=np.intp)
-    perms[...] = np.arange(n_features)
-    subsets = np.empty((len(instances), n_perms, sub or 0), dtype=np.intp)
+    per instance, as ``uint32``."""
+    perms = np.tile(np.arange(n_features, dtype=np.uint32), (len(instances), n_perms, 1))
+    subsets = np.empty((len(instances), n_perms, sub or 0), dtype=np.uint32)
     for j, bit_generator in _streams(seed, instances):
         rng = np.random.Generator(bit_generator)
-        for m in range(n_perms):
-            if sub is not None:
+        if sub is None:  # permuted shuffles the rows in turn, drawing what M shuffles draw
+            rng.permuted(perms[j], axis=1, out=perms[j])
+        else:
+            for m in range(n_perms):
                 subsets[j, m] = rng.choice(n_rows, size=sub, replace=False)
-            # shuffling arange(F) in place draws what rng.permutation(F) draws
-            rng.shuffle(perms[j, m])
+                # shuffling arange(F) in place draws what rng.permutation(F) draws
+                rng.shuffle(perms[j, m])
     return perms, subsets
 
 
-def _n_words(n_perms: int, n_features: int, sub: int | None) -> int:
+def _n_words(n_perms: int, n_features: int, sub: int) -> int:
     """The word budget of one instance in :func:`_draws`, an even number:
     2 sub - 1 per choice, and twice the mean of the shuffles, whose step at
     position i reads 2^bit_length(i) / (i + 1) words on average."""
     shuffle = sum((1 << i.bit_length()) / (i + 1) for i in range(1, n_features))
-    n = n_perms * (2 * sub - 1 if sub else 0) + math.ceil(2 * n_perms * shuffle)
+    n = n_perms * (2 * sub - 1) + math.ceil(2 * n_perms * shuffle)
     return n + n % 2
 
 
@@ -324,9 +325,9 @@ def _swap(table: np.ndarray, i: int, drawn: np.ndarray) -> None:
 
 
 def _draws(seed: int, first: int, n: int, n_perms: int, n_features: int, n_rows: int,
-           sub: int | None) -> tuple[np.ndarray, np.ndarray]:
+           sub: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_generator_draws` of instances ``first`` .. ``first + n - 1``,
-    for ``sub`` below ``n_rows``, replayed from each stream's raw words.
+    with a subsample ``sub`` below ``n_rows``, replayed from the streams' words.
 
     The generator reads 32-bit words, the low half of each 64-bit output
     first. numpy's ``choice`` without replacement is Floyd's algorithm: for
@@ -349,10 +350,10 @@ def _draws(seed: int, first: int, n: int, n_perms: int, n_features: int, n_rows:
     already depend on them; the tests match this replay against
     ``Generator``, so a change fails there.
     """
-    if sub is not None and n_rows > 10000 and sub > n_rows // 50:
+    if n_rows > 10000 and sub > n_rows // 50:
         return _generator_draws(seed, range(first, first + n), n_perms, n_features, n_rows, sub)
     n_words = _n_words(n_perms, n_features, sub)
-    choice = 2 * sub - 1 if sub else 0
+    choice = 2 * sub - 1
     # instance j's words start at j * n_words; zeros follow the last, and a
     # masked draw accepts a zero, so an instance that runs past its budget
     # (and is drawn again) reads on into the next one's words or the zeros
@@ -386,21 +387,20 @@ def _draws(seed: int, first: int, n: int, n_perms: int, n_features: int, n_rows:
     perms = table.T.reshape(n, n_perms, n_features)
 
     # pass 2: word c of every choice at once, in a table with one column per choice
-    table = np.empty((sub or 0, n * n_perms), dtype=np.uint32)
-    if sub is not None:
-        low = n_rows - sub
-        at = starts.ravel()
-        rejected = np.zeros(at.shape, dtype=bool)
-        for c, bound in enumerate([*range(low + 1, n_rows + 1), *range(sub, 1, -1)]):
-            product = words.take(at + c) * np.uint64(bound)
-            rejected |= (product & 0xFFFFFFFF) < (1 << 32) % bound
-            drawn = (product >> 32).astype(np.uint32)
-            if c < sub:
-                table[c] = np.where((table[:c] == drawn).any(axis=0), low + c, drawn)
-            else:
-                _swap(table, choice - c, drawn)
-        failed |= rejected.reshape(n, n_perms).any(axis=1)
-    subsets = table.T.reshape(n, n_perms, sub or 0)
+    table = np.empty((sub, n * n_perms), dtype=np.uint32)
+    low = n_rows - sub
+    at = starts.ravel()
+    rejected = np.zeros(at.shape, dtype=bool)
+    for c, bound in enumerate([*range(low + 1, n_rows + 1), *range(sub, 1, -1)]):
+        product = words.take(at + c) * np.uint64(bound)
+        rejected |= (product & 0xFFFFFFFF) < (1 << 32) % bound
+        drawn = (product >> 32).astype(np.uint32)
+        if c < sub:
+            table[c] = np.where((table[:c] == drawn).any(axis=0), low + c, drawn)
+        else:
+            _swap(table, choice - c, drawn)
+    failed |= rejected.reshape(n, n_perms).any(axis=1)
+    subsets = table.T.reshape(n, n_perms, sub)
 
     redo = np.flatnonzero(failed)
     if redo.size:
@@ -423,18 +423,18 @@ def sampled_shapley(
     stream keyed by ``seed XOR i``; output is bit-identical for a fixed
     config.
 
-    Instances are drawn and evaluated in blocks: as many as have their draws
-    fit in ``_DRAW_WORD_LIMIT`` words, at most ``_BATCH_ROW_LIMIT``, and at
-    least one. A block's draws are made in one call, of :func:`_draws` (a
-    replay of the streams' raw words) or, when its fixed steps would cost
-    more than the calls they save, of :func:`_generator_draws`; its masks go to
-    :func:`_coalition_values` together, each owned by its permutation, its
-    instances are predicted in one call, and its contributions telescope in
-    one pass. Each instance's distinct prefixes are evaluated once. With
-    ``background_subsample`` set, each permutation instead evaluates its
-    prefixes against its own seeded subsample of the background (cost
-    control for large backgrounds); the chain stays anchored at the
-    full-background base value.
+    Instances are drawn and evaluated in blocks: as many as fit in
+    ``_DRAW_WORD_LIMIT`` words of held arrays, at most ``_BATCH_ROW_LIMIT``,
+    and at least one. A block's draws are one call, without a subsample of
+    :func:`_generator_draws` (one ``permuted`` per instance), with one of
+    :func:`_draws` (a replay of raw words) unless its Generator loop is
+    cheaper; its masks go to :func:`_coalition_values` together, each owned
+    by its permutation, its instances are predicted in one call, and its
+    contributions telescope in one pass. Each instance's distinct prefixes
+    are evaluated once. With ``background_subsample`` set, each permutation
+    instead evaluates its prefixes against its own seeded subsample of the
+    background (cost control for large backgrounds); the chain stays
+    anchored at the full-background base value.
     """
     if config is None:
         raise InvalidValue("sampled_shapley requires a SamplingConfig")
@@ -450,25 +450,24 @@ def sampled_shapley(
     seed = int(config.seed)
 
     n_prefix = n_features - 1
-    n_bg = n_rows if sub is None else sub
-    # 32-bit words held per instance: raw, permutations, subsets (a block's only K-wide array), intp positions
-    held = _n_words(n_perms, n_features, sub) + n_perms * (3 * n_features + (sub or 0) + 2)
-    check_addressable(4 * held, "one instance's draws")
+    # 32-bit words held per instance. With a subsample: raw, permutations, subsets (a block's only
+    # K-wide array), intp positions. Without: per permutation the draws (F), intp positions and x_perm
+    # (2 F each) and path (2 F + 2); per mask, at np.unique's peak, bits (F / 4), the key, the sorted
+    # and distinct keys (2 + F / 4 each), and intp owner, order, index, inverse and count (2, count twice)
+    held = (n_perms * (7 * n_features + 2) + n_perms * n_prefix * (18 + n_features) if sub is None
+            else _n_words(n_perms, n_features, sub) + n_perms * (3 * n_features + sub + 2))
+    check_addressable(4 * held, "one instance's arrays")
     per_block = max(1, min(_BATCH_ROW_LIMIT, _DRAW_WORD_LIMIT // held))
-    # _draws takes about M (F - 1) + 2 sub - 1 vector steps a block, whatever its size, each
-    # costing about four shuffles of the Generator loop, whose permutation costs one shuffle,
-    # or eight with a subsample's choice; blocks that make the loop cheaper use it
-    steps = n_perms * n_prefix + (2 * sub - 1 if sub else 0)
-    replay = per_block * n_perms * (1 if sub is None else 8) >= 4 * steps
-    block = _block(per_block * n_perms * n_prefix, n_bg, n_features)
+    # _draws takes about M (F - 1) + 2 sub - 1 vector steps a block, whatever its size, each costing
+    # about four shuffles of the Generator loop, which costs eight a permutation and its choice
+    replay = sub is not None and per_block * n_perms * 8 >= 4 * (n_perms * n_prefix + 2 * sub - 1)
+    block = _block(per_block * n_perms * n_prefix, sub or n_rows, n_features)
     phi = np.empty(x.shape)
     for first in range(0, x.shape[0], per_block):
         x_block = x[first:first + per_block]
         n = x_block.shape[0]
-        if replay:
-            perms, subsets = _draws(seed, first, n, n_perms, n_features, n_rows, sub)
-        else:
-            perms, subsets = _generator_draws(seed, range(first, first + n), n_perms, n_features, n_rows, sub)
+        perms, subsets = (_draws(seed, first, n, n_perms, n_features, n_rows, sub) if replay else
+                          _generator_draws(seed, range(first, first + n), n_perms, n_features, n_rows, sub))
         # prefix p of permutation m holds the features at positions 0..p; mask k is a
         # prefix of permutation k // (F - 1), its owner, whose row of x_perm is its instance's
         position = np.argsort(perms, axis=2)

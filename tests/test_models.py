@@ -533,14 +533,6 @@ def numpy_scalar_models(draw):
     return StumpEnsemble(number(), stumps, number(0.0, 1.0, exclude_min=True), n_features)
 
 
-def _fields(model):
-    """A model's fields, with a linear model's coefficients as a tuple: two
-    ``LinearModel`` compare through their arrays, which have no truth value."""
-    if isinstance(model, LinearModel):
-        return model.intercept, tuple(model.coefficients)
-    return model
-
-
 class TestNumpyScalars:
     """Model parameters may be numpy scalars: the constructors check integers
     through ``check_integer`` and the JSON emitter writes numpy numbers."""
@@ -549,10 +541,19 @@ class TestNumpyScalars:
     @given(model=numpy_scalar_models())
     def test_document_round_trip(self, model):
         rebuilt = model_from_document(json.loads(dumps(model_document(model))))
-        assert _fields(rebuilt) == _fields(model)
+        assert rebuilt == model and hash(rebuilt) == hash(model)
         # equal values, not bytes: a negative zero is written "-0", which json reads back as 0
         rows = np.linspace(-2.0, 2.0, 4 * model.feature_count).reshape(4, -1)
         assert np.array_equal(rebuilt.predict_batch(rows), model.predict_batch(rows))
+
+    def test_linear_models_compare_and_hash_by_value(self):
+        model = LinearModel(0.0, [1.0, 2.0])
+        assert model == LinearModel(np.float32(0.0), np.array([1.0, 2.0])) and len({model, LinearModel(0, [1, 2])}) == 1
+        assert model not in (LinearModel(0.0, [1.0, 2.5]), LinearModel(0.5, [1.0, 2.0]), LinearModel(0.0, [1.0, 2.0, 0.0]))
+        assert model != (0.0, [1.0, 2.0])
+        # a negative zero equals a zero, so the two models must hash alike
+        signed = LinearModel(-0.0, [-0.0, 2.0])
+        assert signed == LinearModel(0.0, [0.0, 2.0]) and hash(signed) == hash(LinearModel(0.0, [0.0, 2.0]))
 
     @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "string"])
     def test_iterations_must_be_an_integer(self, value):

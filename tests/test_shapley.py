@@ -686,16 +686,31 @@ class TestEngineRegression:
         for limit in (1, 3000, 2**30):
             monkeypatch.setattr(shapr2.shapley, "_DRAW_WORD_LIMIT", limit)
             counter = CountingPredictor(CubicPredictor())
-            with mock.patch.object(shapr2.shapley, "_draws", wraps=shapr2.shapley._draws) as draws:
+            with mock.patch.object(shapr2.shapley, "_draws", wraps=shapr2.shapley._draws) as draws, \
+                    mock.patch.object(shapr2.shapley, "_generator_draws", wraps=shapr2.shapley._generator_draws) as loop:
                 result = sampled_shapley(counter, ds, bg, config)
-            runs.append((result, counter, draws.call_count))
-        (first, first_counter, _), *rest = runs
-        for result, counter, _ in rest:
+            runs.append((result, counter, draws.call_count, loop.call_count))
+        (first, first_counter, *_), *rest = runs
+        for result, counter, *_ in rest:
             assert np.array_equal(result.phi, first.phi) and result.phi0 == first.phi0
             assert counter.rows == first_counter.rows
         # a call holds at least one mask; the base value is one call on the background
-        assert all(max(counter.batches) <= max(80, bg.size) for _, counter, _ in runs)
-        assert [n for *_, n in runs][::2] == [0, 1] and 1 < runs[1][2] < 40
+        assert all(max(counter.batches) <= max(80, bg.size) for _, counter, *_ in runs)
+        replays, loops = [n for *_, n, _ in runs], [n for *_, n in runs]
+        if subsample is None:
+            # only a subsample is replayed; each block is one Generator call
+            assert replays == [0, 0, 0] and loops[::2] == [40, 1] and 1 < loops[1] < 40
+        else:
+            assert replays[::2] == [0, 1] and 1 < replays[1] < 40
+
+    @pytest.mark.parametrize("n_features, n_perms", [(6, 200), (16, 20)], ids=["explain-sampled-defaults", "wide"])
+    def test_no_subsample_is_never_replayed(self, n_features, n_perms):
+        # at both shapes the replay rule once picked the replay
+        ds = Dataset(x=np.random.default_rng(0).standard_normal((40, n_features)))
+        model = LinearModel(0.5, np.linspace(-1.0, 1.0, n_features))
+        with mock.patch.object(shapr2.shapley, "_draws", wraps=shapr2.shapley._draws) as draws:
+            sampled_shapley(model, ds, None, SamplingConfig(n_perms, 3))
+        assert not draws.called
 
     def test_subsample_is_not_copied_per_mask(self, monkeypatch):
         # masks read their permutation's subset through their owner, so the
@@ -719,9 +734,11 @@ class TestEngineRegression:
     @pytest.mark.parametrize(
         "n, f, m, k, bound",
         # the peaks measured with 192 KiB draw blocks (0.73 and 1.15 MB) plus 0.8 MB:
-        # room for the 1 MiB blocks' 0.65 MB, so a block that grows memory further fails
-        [(200, 3, 20, 16, 1.53e6), (300, 6, 10, 32, 1.95e6)],
-        ids=["grid-cell", "explain-stumps-sampled"],
+        # room for the 1 MiB blocks' 0.65 MB, so a block that grows memory further fails.
+        # Without a subsample the peak was 5.83 MB while blocks counted their draws alone;
+        # a block that counts what it holds needs its 1 MiB and the 0.39 MB chunk scratch
+        [(200, 3, 20, 16, 1.53e6), (300, 6, 10, 32, 1.95e6), (300, 6, 200, None, 2.0e6)],
+        ids=["grid-cell", "explain-stumps-sampled", "explain-sampled-defaults"],
     )
     def test_peak_memory_of_one_call(self, n, f, m, k, bound):
         ds = Dataset(x=np.random.default_rng(0).standard_normal((n, f)))
@@ -964,9 +981,9 @@ class TestCoalitionValuesMatchOracle:
 
 @st.composite
 def draw_shapes(draw):
-    """``(n_rows, sub)``: a background size and a subsample below it, or none."""
+    """``(n_rows, sub)``: a background size and a subsample below it."""
     n_rows = draw(st.integers(2, 300))
-    return n_rows, draw(st.one_of(st.none(), st.integers(1, n_rows - 1)))
+    return n_rows, draw(st.integers(1, n_rows - 1))
 
 
 def generator_draws(seed, first, n, n_perms, n_features, n_rows, sub):
@@ -981,6 +998,31 @@ def generator_draws(seed, first, n, n_perms, n_features, n_rows, sub):
             perms[j, m] = np.arange(n_features)
             rng.shuffle(perms[j, m])
     return perms, subsets
+
+
+class TestPermutedDraws:
+    """Without a subsample, ``shapley._generator_draws`` draws an instance's
+    permutations with one ``Generator.permuted`` call: the same permutations
+    as M ``shuffle`` calls, or a numpy that changes them fails here."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 2**20),
+        n=st.integers(1, 5),
+        n_perms=st.integers(1, 30),
+        n_features=st.integers(1, 40),
+        as_array=st.booleans(),
+    )
+    @example(seed=3, first=0, n=3, n_perms=4, n_features=1, as_array=False)  # no draws at all
+    @example(seed=3, first=0, n=3, n_perms=4, n_features=5, as_array=False)
+    @example(seed=3, first=0, n=3, n_perms=1, n_features=5, as_array=True)  # M = 1
+    def test_matches_shuffles(self, seed, first, n, n_perms, n_features, as_array):
+        instances = np.arange(first, first + n) if as_array else range(first, first + n)
+        perms, subsets = shapr2.shapley._generator_draws(seed, instances, n_perms, n_features, 40, None)
+        expected_perms, _ = generator_draws(seed, first, n, n_perms, n_features, 40, None)
+        assert perms.dtype == subsets.dtype == np.uint32
+        assert np.array_equal(perms, expected_perms) and subsets.shape == (n, n_perms, 0)
 
 
 class TestDrawReplay:
@@ -1000,9 +1042,7 @@ class TestDrawReplay:
     @example(seed=3, first=0, n=3, n_perms=4, n_features=5, shape=(40, 39))  # K = n - 1
     @example(seed=3, first=0, n=3, n_perms=4, n_features=5, shape=(40, 1))  # K = 1
     @example(seed=3, first=0, n=3, n_perms=4, n_features=1, shape=(40, 8))  # F = 1
-    @example(seed=3, first=0, n=3, n_perms=4, n_features=1, shape=(40, None))  # no draws at all
     @example(seed=3, first=0, n=3, n_perms=1, n_features=5, shape=(40, 8))  # M = 1
-    @example(seed=3, first=0, n=3, n_perms=4, n_features=5, shape=(40, None))  # no subsample
     @example(seed=3, first=0, n=2, n_perms=2, n_features=3, shape=(20000, 401))  # numpy shuffles a tail
     def test_matches_generator(self, seed, first, n, n_perms, n_features, shape):
         n_rows, sub = shape
