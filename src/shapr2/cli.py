@@ -66,6 +66,11 @@ THREADS_HELP = (
 )
 
 
+def _cannot(verb: str, path: str, reason) -> ValidationError:
+    """``cannot <verb> <path>: <reason>``, where an exception gives its ``strerror`` if it has one."""
+    return ValidationError(f"cannot {verb} {path}: {getattr(reason, 'strerror', None) or reason}")
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
@@ -76,7 +81,7 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
             reader = csv.reader(handle)
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        raise _cannot("read", path, exc) from exc
     except csv.Error as exc:  # a field over the reader's length limit
         raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
@@ -212,10 +217,6 @@ def _load_explain_input(path: str, target: str) -> Dataset:
 # Output helpers
 
 
-def _cannot_write(path: str, exc: OSError) -> ValidationError:
-    return ValidationError(f"cannot write {path}: {exc.strerror or exc}")
-
-
 def _stage(path: str, text: str, temporaries: list[str | None]) -> None:
     """Write ``text`` to a new temporary file next to ``path``, with the mode a
     plain ``open(path, "w")`` would leave ``path`` with, appending its name to
@@ -263,7 +264,7 @@ def _write_stdout(text: str) -> None:
             os.close(devnull)
         except (AttributeError, OSError, ValueError):  # no stdout file descriptor to replace
             pass
-        raise _cannot_write("<stdout>", exc) from exc
+        raise _cannot("write", "<stdout>", exc) from exc
 
 
 def _publish(outputs: list[tuple[str | None, str]]) -> None:
@@ -293,7 +294,7 @@ def _publish(outputs: list[tuple[str | None, str]]) -> None:
                 with open(path, "w", encoding="utf-8", newline="") as handle:
                     handle.write(text)
     except OSError as exc:  # the loops leave ``path`` naming the output being handled
-        raise _cannot_write(path, exc) from exc
+        raise _cannot("write", path, exc) from exc
     finally:
         for temporary in temporaries:
             if temporary is not None and os.path.lexists(temporary):
@@ -312,7 +313,7 @@ def _check_destinations(args) -> None:
     targets = [os.path.realpath(path) for path in paths if path is not None]
     for i, target in enumerate(targets):
         if target in targets[:i] and (os.path.isfile(target) or not os.path.exists(target)):
-            raise ValidationError(f"cannot write {target}: two outputs name this file")
+            raise _cannot("write", target, "two outputs name this file")
 
 
 def _write_text(text: str, out_path: str | None, outputs: list) -> None:
@@ -434,7 +435,7 @@ def _read_config(path: str) -> dict:
         with open(path, encoding="utf-8-sig") as handle:
             settings = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        raise _cannot("read", path, exc) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(settings, dict):

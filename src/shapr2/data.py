@@ -50,7 +50,10 @@ def as_float_array(values, name: str, ndim: int) -> np.ndarray:
     writeable array shares its memory. Any other input is copied (a writeable
     array, a read-only view of a writeable array, an array over a foreign
     buffer), so later changes to it leave the result alone."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # not OverflowError: model_from_document reports that one
+        raise InvalidValue(f"{name} cannot be read as floats: {exc}") from None
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):

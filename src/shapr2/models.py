@@ -49,16 +49,14 @@ def _rows(rows, n_features: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """``intercept + coefficients @ x``; :func:`~shapr2.data.as_float_array` checks the coefficients."""
+    """``intercept + coefficients @ x``; :func:`~shapr2.data.as_float_array` checks both parameters."""
 
     intercept: float
     coefficients: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", as_float_array(self.coefficients, "coefficients", 1))
-        if not math.isfinite(float(self.intercept)):
-            raise InvalidValue("model parameters must be finite")
-        object.__setattr__(self, "intercept", float(self.intercept))
+        object.__setattr__(self, "intercept", float(as_float_array(self.intercept, "intercept", 0)))
 
     def __eq__(self, other):  # by value: the generated __eq__ asks an array for its truth value
         return type(other) is type(self) and (self.intercept, self.coefficients.tolist()) == (other.intercept, other.coefficients.tolist())
@@ -113,19 +111,16 @@ class StumpEnsemble:
         object.__setattr__(self, "n_features", check_integer(self.n_features, "n_features"))
         if self.n_features < 1:
             raise ShapeError("n_features must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidValue("learning_rate must be in (0, 1]")
+        object.__setattr__(self, "learning_rate", check_learning_rate(self.learning_rate))
         for s in self.stumps:
             if not 0 <= check_integer(s.feature_index, "stump feature_index") < self.n_features:
-                raise ShapeError(
-                    f"stump feature_index {s.feature_index} outside [0, {self.n_features})"
-                )
+                raise ShapeError(f"stump feature_index {s.feature_index} outside [0, {self.n_features})")
+        object.__setattr__(self, "init_value", float(as_float_array(self.init_value, "init_value", 0)))
         features = np.array([s.feature_index for s in self.stumps], dtype=np.int64)
-        values = np.array(
-            [(s.threshold, s.left_value, s.right_value) for s in self.stumps], dtype=float
-        ).reshape(-1, 3)
-        if not (np.all(np.isfinite(values)) and math.isfinite(self.init_value)):
-            raise InvalidValue("model parameters must be finite")
+        values = as_float_array([(s.threshold, s.left_value, s.right_value) for s in self.stumps]
+                                or np.empty((0, 3)), "stump parameters", 2)
+        # the checked ints and floats, so the document holds what model_from_document reads
+        object.__setattr__(self, "stumps", tuple(Stump(int(f), *row) for f, row in zip(features, values.tolist())))
         tables = []
         for f in sorted({s.feature_index for s in self.stumps}):
             mine = values[features == f]
@@ -198,9 +193,7 @@ def model_from_document(doc: dict):
     """Rebuild a fitted model from its JSON document. A document that is not
     an object, lacks a key or holds a value of the wrong JSON type raises
     ValidationError."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model document: expected an object, got {doc!r}")
-    kind = doc.get("type")
+    kind = _document_value(doc, "type", str, "a string")
     try:
         if kind == "linear":
             coefficients = _document_value(doc, "coefficients", list, "a list of numbers")
@@ -228,6 +221,13 @@ def model_from_document(doc: dict):
     raise ValidationError(f"unknown model document type {kind!r}")
 
 
+def _outcome(dataset: Dataset) -> np.ndarray:
+    """The outcome every fit needs; a dataset without one raises InvalidValue."""
+    if dataset.y is None:
+        raise InvalidValue("dataset has no outcome column to fit")
+    return dataset.y
+
+
 def fit_ols(dataset: Dataset) -> LinearModel:
     """Least squares with intercept, solved via QR orthogonalization.
 
@@ -235,9 +235,7 @@ def fit_ols(dataset: Dataset) -> LinearModel:
     don't lose half the working precision; too few rows (n <= F) raise
     InvalidValue, and exact rank deficiency raises SingularDesign.
     """
-    if dataset.y is None:
-        raise InvalidValue("dataset has no outcome column to fit")
-    x, y = dataset.x, dataset.y
+    x, y = dataset.x, _outcome(dataset)
     n, f = x.shape
     if n <= f:
         raise InvalidValue(f"need more rows ({n}) than features ({f}) plus intercept")
@@ -300,13 +298,19 @@ def _best_stump(residual: np.ndarray, candidates, scratch) -> Stump:
     )
 
 
+def check_learning_rate(learning_rate: float) -> float:
+    """The rule on a learning rate, for every ensemble and the boosting options."""
+    if not 0.0 < learning_rate <= 1.0:
+        raise InvalidValue("learning_rate must be in (0, 1]")
+    return float(learning_rate)
+
+
 def check_boosting_options(iterations: int, learning_rate: float) -> None:
     """The rules on the boosting options, checked by the boosting loop and
     by ``explain`` whichever model it fits."""
     if check_integer(iterations, "iterations") < 1:
         raise InvalidValue("iterations must be >= 1")
-    if not 0.0 < learning_rate <= 1.0:
-        raise InvalidValue("learning_rate must be in (0, 1]")
+    check_learning_rate(learning_rate)
 
 
 def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
@@ -314,10 +318,8 @@ def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
     ``iterations`` rounds, where ``pred`` is the training prediction of the
     ensemble after adding that stump. The ensemble starts at the outcome mean.
     """
-    if dataset.y is None:
-        raise InvalidValue("dataset has no outcome column to fit")
+    x, y = dataset.x, _outcome(dataset)
     check_boosting_options(iterations, learning_rate)
-    x, y = dataset.x, dataset.y
     if x.shape[0] < 2:
         raise InvalidValue("need at least 2 rows to boost")
     candidates = _split_candidates(x)
@@ -333,15 +335,6 @@ def _boost_steps(dataset: Dataset, iterations: int, learning_rate: float):
         yield stump, pred
 
 
-def _ensemble(dataset: Dataset, stumps, learning_rate: float) -> StumpEnsemble:
-    return StumpEnsemble(
-        init_value=float(dataset.y.mean()),
-        stumps=tuple(stumps),
-        learning_rate=learning_rate,
-        n_features=dataset.n_features,
-    )
-
-
 def fit_stump_ensemble(
     dataset: Dataset, iterations: int, learning_rate: float = 0.1
 ) -> StumpEnsemble:
@@ -353,7 +346,7 @@ def fit_stump_ensemble(
     in the iteration count.
     """
     stumps = [stump for stump, _ in _boost_steps(dataset, iterations, learning_rate)]
-    return _ensemble(dataset, stumps, learning_rate)
+    return StumpEnsemble(dataset.y.mean(), stumps, learning_rate, dataset.n_features)
 
 
 def tune_iterations(dataset: Dataset, target_r2: float, learning_rate: float = 0.1):
@@ -381,4 +374,4 @@ def tune_iterations(dataset: Dataset, target_r2: float, learning_rate: float = 0
             f"closest training fit to {target_r2} is {best_r2:.4f} "
             f"at {best_k} iterations (gap {best_gap:.4f} > {TUNE_TOLERANCE})"
         )
-    return _ensemble(dataset, stumps[:best_k], learning_rate), best_r2, best_k
+    return StumpEnsemble(dataset.y.mean(), stumps[:best_k], learning_rate, dataset.n_features), best_r2, best_k

@@ -13,12 +13,11 @@ rho > -1/2.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_addressable, check_integer
+from .data import Dataset, as_float_array, check_addressable, check_integer
 from .errors import InvalidMatrix, InvalidValue, NonPositiveDefinite
 from .metrics import decompose
 from .models import fit_ols
@@ -46,10 +45,6 @@ def _check_cell_values(rho: float, coefficients, noise_sd: float | None, n_sampl
         raise InvalidValue(f"rho {rho} is outside [-1, 1]")
     if not coefficients:
         raise InvalidValue("coefficients is empty")
-    if not all(math.isfinite(c) for c in coefficients):
-        raise InvalidValue(f"coefficients must be finite, got {list(coefficients)}")
-    if noise_sd is not None and not math.isfinite(noise_sd):
-        raise InvalidValue(f"noise_sd must be finite, got {noise_sd}")
     if noise_sd is not None and noise_sd < 0:
         raise InvalidValue("noise_sd must be >= 0")
     if not noise_sd and not any(coefficients):  # else the outcome is constant; the default noise is 0 too
@@ -82,7 +77,8 @@ class UniformCorrelationSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(as_float_array(self.coefficients, "coefficients", 1).tolist()))
+        object.__setattr__(self, "noise_sd", float(as_float_array(self.noise_sd, "noise_sd", 0)))
         _check_cell_values(self.rho, self.coefficients, self.noise_sd, self.n_samples)
         check_seed(self.seed)
 
@@ -115,8 +111,10 @@ class GridSpec:
         """Every cell's values obey the cell rules, and all coefficient
         configs have distinct ids and one width, which is the grid's feature
         count."""
-        configs = tuple((config_id, tuple(float(c) for c in cs)) for config_id, cs in self.coefficient_configs)
+        configs = tuple((name, tuple(as_float_array(cs, "coefficients", 1).tolist())) for name, cs in self.coefficient_configs)
         object.__setattr__(self, "coefficient_configs", configs)
+        if self.noise_sd is not None:
+            object.__setattr__(self, "noise_sd", float(as_float_array(self.noise_sd, "noise_sd", 0)))
         if not self.coefficient_configs:
             raise InvalidValue("coefficient_configs is empty")
         if len({len(c) for _, c in self.coefficient_configs}) != 1:

@@ -733,6 +733,21 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("decompose", "{missing}"),
+            ("explain", "{missing}", "--target", "outcome"),
+            ("simulate", "--config", "{missing}", "--out", "{tmp}/g.csv"),
+        ],
+        ids=["decompose", "explain", "simulate-config"],
+    )
+    def test_unreadable_input_names_the_reason(self, cli, tmp_path, argv):
+        # reads and writes share one message form: the path, then the system's reason alone
+        missing = tmp_path / "missing"
+        result = cli(*[a.format(missing=missing, tmp=tmp_path) for a in argv])
+        assert (result.code, result.stderr) == (2, f"error: cannot read {missing}: {os.strerror(errno.ENOENT)}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("explain", "{csv}", "--target", "outcome", "--out", "/nonexistent/r.json"),
             ("explain", "{csv}", "--target", "outcome", "--emit-shap", "/nonexistent/phi.csv"),
             ("explain", "{csv}", "--target", "outcome", "--emit-model", "/nonexistent/m.json"),
@@ -1751,6 +1766,14 @@ class TestModelDocument:
     )
     def test_invalid_parameters(self, doc, error):
         with pytest.raises(error):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"coefficients": [1.0], "intercept": 0.0}, "missing key 'type'"),
+        ({"type": 5}, "type must be a string, got 5"),
+    ], ids=["no-type", "type-number"])
+    def test_type_is_a_string(self, doc, message):
+        with pytest.raises(ValidationError, match=f"^model document: {message}$"):
             model_from_document(doc)
 
     def test_unknown_model_type(self):

@@ -5,6 +5,7 @@ predictor against a per-stump sum."""
 import json
 import math
 import re
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,12 @@ class TestFitOls:
     def test_needs_outcome(self):
         with pytest.raises(InvalidValue, match="^dataset has no outcome column to fit$"):
             fit_ols(Dataset(x=np.zeros((5, 1))))
+
+    @pytest.mark.parametrize("intercept, coefficients, name", [(math.inf, [1.0], "intercept"),
+                                                                (0.0, [1.0, -math.inf], "coefficients")])
+    def test_parameters_must_be_finite(self, intercept, coefficients, name):
+        with pytest.raises(InvalidValue, match=f"^{name} contains non-finite entries$"):
+            LinearModel(intercept, coefficients)
 
     def test_too_few_rows(self):
         with pytest.raises(InvalidValue):
@@ -313,31 +320,31 @@ class TestCompiledStumpPredictor:
             assert not thresholds.flags.writeable and not steps.flags.writeable
 
     @pytest.mark.parametrize(
-        "kwargs, error",
+        "kwargs, error, message",
         [
-            ({"n_features": 0, "stumps": ()}, ShapeError),
-            ({"stumps": (Stump(2, 0.0, 1.0, 2.0),)}, ShapeError),
-            ({"stumps": (Stump(-1, 0.0, 1.0, 2.0),)}, ShapeError),
-            ({"init_value": math.nan}, InvalidValue),
-            ({"init_value": math.inf}, InvalidValue),
-            ({"stumps": (Stump(0, math.inf, 1.0, 2.0),)}, InvalidValue),
-            ({"stumps": (Stump(0, 0.0, math.nan, 2.0),)}, InvalidValue),
-            ({"stumps": (Stump(1, 0.0, 1.0, -math.inf),)}, InvalidValue),
-            ({"learning_rate": 0.0}, InvalidValue),
-            ({"learning_rate": 1.5}, InvalidValue),
-            ({"learning_rate": math.nan}, InvalidValue),
+            ({"n_features": 0, "stumps": ()}, ShapeError, "n_features must be >= 1"),
+            ({"stumps": (Stump(2, 0.0, 1.0, 2.0),)}, ShapeError, "stump feature_index 2 outside"),
+            ({"stumps": (Stump(-1, 0.0, 1.0, 2.0),)}, ShapeError, "stump feature_index -1 outside"),
+            ({"init_value": math.nan}, InvalidValue, "init_value contains non-finite entries"),
+            ({"init_value": math.inf}, InvalidValue, "init_value contains non-finite entries"),
+            ({"stumps": (Stump(0, math.inf, 1.0, 2.0),)}, InvalidValue, "stump parameters contains non-finite"),
+            ({"stumps": (Stump(0, 0.0, math.nan, 2.0),)}, InvalidValue, "stump parameters contains non-finite"),
+            ({"stumps": (Stump(1, 0.0, 1.0, -math.inf),)}, InvalidValue, "stump parameters contains non-finite"),
+            ({"learning_rate": 0.0}, InvalidValue, "learning_rate must be in"),
+            ({"learning_rate": 1.5}, InvalidValue, "learning_rate must be in"),
+            ({"learning_rate": math.nan}, InvalidValue, "learning_rate must be in"),
         ],
         ids=["no-features", "index-too-large", "index-negative", "init-nan", "init-inf",
              "threshold-inf", "left-nan", "right-inf", "rate-zero", "rate-above-one", "rate-nan"],
     )
-    def test_rejects_invalid_parameters(self, kwargs, error):
+    def test_rejects_invalid_parameters(self, kwargs, error, message):
         valid = {
             "init_value": 0.5,
             "stumps": (Stump(0, 0.0, 1.0, 2.0),),
             "learning_rate": 1.0,
             "n_features": 2,
         }
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):  # each message names its parameter
             StumpEnsemble(**{**valid, **kwargs})
         StumpEnsemble(**valid)
 
@@ -545,6 +552,16 @@ class TestNumpyScalars:
         # equal values, not bytes: a negative zero is written "-0", which json reads back as 0
         rows = np.linspace(-2.0, 2.0, 4 * model.feature_count).reshape(4, -1)
         assert np.array_equal(rebuilt.predict_batch(rows), model.predict_batch(rows))
+
+    @pytest.mark.parametrize("stump, scalar", [(Stump(0, "0.5", 1.0, 2.0), 0.5), (Stump(0, True, 1.0, 2.0), 0.5),
+                                               (Stump(0, 0.5, np.True_, 2.0), 0.5), (Stump(0, 0.5, 1.0, 2.0), True)],
+                             ids=["string-threshold", "bool-threshold", "numpy-bool-leaf", "bool-init-and-rate"])
+    def test_ensemble_keeps_the_floats_it_checked(self, stump, scalar):
+        model = StumpEnsemble(scalar, (stump,), scalar, 1)
+        assert [type(v) for v in astuple(model.stumps[0])] == [int, float, float, float]
+        assert type(model.init_value) is float and type(model.learning_rate) is float
+        rebuilt = model_from_document(json.loads(dumps(model_document(model))))
+        assert rebuilt == model and hash(rebuilt) == hash(model)
 
     def test_linear_models_compare_and_hash_by_value(self):
         model = LinearModel(0.0, [1.0, 2.0])
