@@ -18,12 +18,13 @@ choice cancels in every ratio; consistency is what matters.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import as_float_array, feature_names
-from .errors import DegenerateInput, ModelExplainsNothing, ShapeError
+from .errors import DegenerateInput, InvalidValue, ModelExplainsNothing, ShapeError
 
 PROVENANCES = ("exact", "sampled", "closed_form_linear", "ingested")
 
@@ -99,6 +100,8 @@ class ShapleyMatrix:
         phi = as_float_array(self.phi, "phi", 2)
         object.__setattr__(self, "phi", phi)
         if self.phi0 is not None:
+            if not isinstance(self.phi0, numbers.Real):
+                raise InvalidValue(f"phi0 must be a number, got {self.phi0!r}")
             phi0 = float(self.phi0)
             if not np.isfinite(phi0):
                 raise DegenerateInput("phi0 must be finite")

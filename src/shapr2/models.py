@@ -17,6 +17,7 @@ per-stump sum to about 1e-15 relative, not bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -300,7 +301,7 @@ def _best_stump(residual: np.ndarray, candidates, scratch) -> Stump:
 
 def check_learning_rate(learning_rate: float) -> float:
     """The rule on a learning rate, for every ensemble and the boosting options."""
-    if not 0.0 < learning_rate <= 1.0:
+    if not (isinstance(learning_rate, numbers.Real) and 0.0 < learning_rate <= 1.0):
         raise InvalidValue("learning_rate must be in (0, 1]")
     return float(learning_rate)
 
@@ -357,7 +358,7 @@ def tune_iterations(dataset: Dataset, target_r2: float, learning_rate: float = 0
     ``(model, achieved_r2, iterations)``; raises TargetUnreachable when no
     count up to ``TUNE_MAX_ITERATIONS`` lands within ``TUNE_TOLERANCE``.
     """
-    if not 0.0 < target_r2 < 1.0:
+    if not (isinstance(target_r2, numbers.Real) and 0.0 < target_r2 < 1.0):
         raise InvalidValue("target_r2 must be in (0, 1)")
     stumps: list[Stump] = []
     best_k, best_r2, best_gap = 0, math.nan, math.inf

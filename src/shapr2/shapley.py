@@ -86,7 +86,7 @@ class BackgroundSet:
     def subsample_size(self, k: int | None) -> int | None:
         """The subsample rule of every engine: ``k`` rows, at most :attr:`size`;
         ``k`` equal to :attr:`size` is the whole background (None)."""
-        if k is not None and k > self.size:
+        if k is not None and check_integer(k, "background_subsample") > self.size:
             raise ShapeError(f"background_subsample {k} exceeds background size {self.size}")
         return None if k == self.size else k
 

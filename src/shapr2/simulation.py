@@ -38,21 +38,6 @@ DEFAULT_COEFFICIENT_CONFIGS = (
 )
 
 
-def _check_cell_values(rho: float, coefficients, noise_sd: float | None, n_samples: int) -> None:
-    """The rules on a cell's correlation, coefficients, noise and sample
-    count, shared by :class:`UniformCorrelationSpec` and :class:`GridSpec`."""
-    if not -1.0 <= rho <= 1.0:
-        raise InvalidValue(f"rho {rho} is outside [-1, 1]")
-    if not coefficients:
-        raise InvalidValue("coefficients is empty")
-    if noise_sd is not None and noise_sd < 0:
-        raise InvalidValue("noise_sd must be >= 0")
-    if not noise_sd and not any(coefficients):  # else the outcome is constant; the default noise is 0 too
-        raise InvalidValue("noise_sd must be > 0 when every coefficient is 0")
-    if check_integer(n_samples, "n_samples") <= len(coefficients):
-        raise InvalidValue(f"n_samples must exceed the {len(coefficients)} coefficients, got {n_samples}")
-
-
 def _sampling_config(estimator, permutations, seed, background_subsample, n_samples) -> SamplingConfig:
     """The rule on a cell's estimator options, whichever estimator runs: a name in
     :data:`ESTIMATORS`, a valid :class:`SamplingConfig`, at most ``n_samples`` rows."""
@@ -77,9 +62,21 @@ class UniformCorrelationSpec:
     seed: int
 
     def __post_init__(self):
+        """The cell rules on the correlation, coefficients, noise, sample
+        count and seed; every grid cell is built here."""
+        object.__setattr__(self, "rho", float(as_float_array(self.rho, "rho", 0)))
         object.__setattr__(self, "coefficients", tuple(as_float_array(self.coefficients, "coefficients", 1).tolist()))
         object.__setattr__(self, "noise_sd", float(as_float_array(self.noise_sd, "noise_sd", 0)))
-        _check_cell_values(self.rho, self.coefficients, self.noise_sd, self.n_samples)
+        if not -1.0 <= self.rho <= 1.0:
+            raise InvalidValue(f"rho {self.rho} is outside [-1, 1]")
+        if not self.coefficients:
+            raise InvalidValue("coefficients is empty")
+        if self.noise_sd < 0:
+            raise InvalidValue("noise_sd must be >= 0")
+        if not self.noise_sd and not any(self.coefficients):  # else the outcome is constant
+            raise InvalidValue("noise_sd must be > 0 when every coefficient is 0")
+        if check_integer(self.n_samples, "n_samples") <= len(self.coefficients):
+            raise InvalidValue(f"n_samples must exceed the {len(self.coefficients)} coefficients, got {self.n_samples}")
         check_seed(self.seed)
 
     @property
@@ -108,9 +105,10 @@ class GridSpec:
     background_subsample: int | None = None
 
     def __post_init__(self):
-        """Every cell's values obey the cell rules, and all coefficient
-        configs have distinct ids and one width, which is the grid's feature
-        count."""
+        """All coefficient configs have distinct ids and one width, which is
+        the grid's feature count, and every cell is built once, in ``_cells``
+        ([config][rho]): its noise is ``noise_sd`` or the config's default,
+        its seed derives from the master seed and the cell coordinates."""
         configs = tuple((name, tuple(as_float_array(cs, "coefficients", 1).tolist())) for name, cs in self.coefficient_configs)
         object.__setattr__(self, "coefficient_configs", configs)
         if self.noise_sd is not None:
@@ -122,13 +120,16 @@ class GridSpec:
         ids = [config_id for config_id, _ in self.coefficient_configs]
         if len(set(ids)) != len(ids):
             raise InvalidValue(f"coefficient_configs ids must be unique, got {ids}")
-        rhos = tuple(float(rho) for rho in self.rho_values)
-        for rho in rhos:
-            for _, coefficients in self.coefficient_configs:
-                _check_cell_values(rho, coefficients, self.noise_sd, self.n_samples)
-        object.__setattr__(self, "rho_values", rhos)
-        if not self.rho_values:
+        rhos = as_float_array(self.rho_values, "rho", 1)
+        if not rhos.size:
             raise InvalidValue("rho_values is empty")
+        check_seed(self.seed)
+        noises = [float(np.linalg.norm(cs)) if self.noise_sd is None else self.noise_sd for _, cs in configs]
+        by_rho = [[UniformCorrelationSpec(rho, self.n_samples, cs, noise, derive_seed(self.seed, r, c))
+                   for c, ((_, cs), noise) in enumerate(zip(configs, noises))]
+                  for r, rho in enumerate(rhos)]  # rho by rho: the first bad rho is reported before a bad config
+        object.__setattr__(self, "_cells", tuple(zip(*by_rho)))
+        object.__setattr__(self, "rho_values", tuple(row[0].rho for row in by_rho))
         _sampling_config(self.estimator, self.permutations, self.seed, self.background_subsample, self.n_samples)
 
 
@@ -238,30 +239,12 @@ def run_cell(
 
 
 def run_grid(grid: GridSpec) -> SimulationGrid:
-    """Evaluate every (coefficient config, rho) cell of the grid.
-
-    Cell seeds derive from the master seed and the cell coordinates, so the
-    grid is deterministic and independent of evaluation order.
-    """
-    cells = []
-    for c, (_, coefficients) in enumerate(grid.coefficient_configs):
-        noise_sd = float(np.linalg.norm(coefficients)) if grid.noise_sd is None else grid.noise_sd
-        row = []
-        for r, rho in enumerate(grid.rho_values):
-            spec = UniformCorrelationSpec(
-                rho=rho,
-                n_samples=grid.n_samples,
-                coefficients=coefficients,
-                noise_sd=noise_sd,
-                seed=derive_seed(grid.seed, r, c),
-            )
-            row.append(
-                run_cell(
-                    spec,
-                    estimator=grid.estimator,
-                    permutations=grid.permutations,
-                    background_subsample=grid.background_subsample,
-                )
-            )
-        cells.append(tuple(row))
-    return SimulationGrid(spec=grid, cells=tuple(cells))
+    """Evaluate every (coefficient config, rho) cell of the grid, each on the
+    spec :class:`GridSpec` built for it, so the grid is deterministic and
+    independent of evaluation order."""
+    cells = tuple(
+        tuple(run_cell(spec, estimator=grid.estimator, permutations=grid.permutations,
+                       background_subsample=grid.background_subsample) for spec in row)
+        for row in grid._cells
+    )
+    return SimulationGrid(spec=grid, cells=cells)

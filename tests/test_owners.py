@@ -8,11 +8,12 @@ import builtins
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shapr2 import Dataset, LinearModel, StumpEnsemble, errors
+from shapr2 import BackgroundSet, Dataset, LinearModel, ShapleyMatrix, StumpEnsemble, errors
 from shapr2.errors import InvalidValue
-from shapr2.models import Stump
+from shapr2.models import Stump, check_boosting_options, tune_iterations
 from shapr2.simulation import GridSpec, UniformCorrelationSpec
 
 SOURCE = Path(errors.__file__).parent
@@ -72,12 +73,36 @@ def test_no_message_is_raised_from_two_places():
         (lambda: StumpEnsemble(0.0, (Stump(0, "a", 1.0, 2.0),), 0.1, 1), "stump parameters"),
         (lambda: GridSpec(noise_sd="a"), "noise_sd"),
         (lambda: UniformCorrelationSpec(0.0, 10, (1.0, (2.0, 3.0)), 1.0, 0), "coefficients"),
+        (lambda: UniformCorrelationSpec("a", 10, (1.0,), 1.0, 0), "rho"),
+        (lambda: GridSpec(rho_values=["a"]), "rho"),
     ],
     ids=["string-coefficient", "object-intercept", "string-x", "string-threshold", "string-noise",
-         "ragged-coefficients"],
+         "ragged-coefficients", "string-cell-rho", "string-grid-rho"],
 )
 def test_unreadable_floats_are_invalid_values(build, name):
     """``as_float_array`` owns "readable as floats": a value numpy cannot
     read is an InvalidValue naming its parameter, not a bare numpy error."""
     with pytest.raises(InvalidValue, match=f"^{name} cannot be read as floats: "):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: StumpEnsemble(0.0, (), "0.5", 1), "learning_rate"),
+        (lambda: check_boosting_options(3, "0.5"), "learning_rate"),
+        (lambda: tune_iterations(Dataset(x=[[0.0], [1.0]], y=[0.0, 1.0]), "0.5"), "target_r2"),
+        (lambda: tune_iterations(Dataset(x=[[0.0], [1.0]], y=[0.0, 1.0]), None), "target_r2"),
+        (lambda: ShapleyMatrix(np.zeros((2, 1)), "a"), "phi0"),
+        (lambda: ShapleyMatrix(np.zeros((2, 1)), object()), "phi0"),
+        (lambda: BackgroundSet(np.zeros((3, 1))).subsample(2.5, 0), "background_subsample"),
+    ],
+    ids=["string-learning-rate", "string-boosting-rate", "string-target", "none-target", "string-phi0",
+         "object-phi0", "float-subsample"],
+)
+def test_non_numbers_are_invalid_values(build, name):
+    """A number option given a value that is no number of its kind is an
+    InvalidValue naming the option, not a bare TypeError or ValueError from
+    comparing or converting it."""
+    with pytest.raises(InvalidValue, match=f"^{name} "):
         build()

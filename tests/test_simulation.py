@@ -181,25 +181,26 @@ class TestRunGrid:
                 assert cell.status == "skipped_non_pd"
 
     def test_single_cell_grid_equals_run_cell(self):
-        gs = GridSpec(
-            rho_values=(0.2,),
-            coefficient_configs=(("equal", (1.0, 1.0, 1.0)),),
-            n_samples=500,
-            seed=99,
-        )
-        grid = run_grid(gs)
-        cell = grid.cells[0][0]
-        direct = run_cell(
-            UniformCorrelationSpec(
-                rho=0.2,
-                n_samples=500,
-                coefficients=(1.0, 1.0, 1.0),
-                noise_sd=float(np.linalg.norm((1.0, 1.0, 1.0))),
-                seed=derive_seed(99, 0, 0),
-            )
-        )
-        assert cell.sigma_unique == direct.sigma_unique
-        assert cell.baseline_r2 == direct.baseline_r2
+        """Every cell of a 2 x 3 grid runs the spec its coordinates document:
+        the config's default noise and the seed ``derive_seed(seed, r, c)``,
+        which differs from ``derive_seed(seed, c, r)`` off the diagonal."""
+        configs = (("equal", (1.0, 1.0, 1.0)), ("dominant", (4.0, 1.0, 1.0)))
+        rhos = (-0.3, 0.2, 0.7)
+        grid = run_grid(GridSpec(rho_values=rhos, coefficient_configs=configs, n_samples=200, seed=99))
+        for c, (_, coefficients) in enumerate(configs):
+            for r, rho in enumerate(rhos):
+                documented = UniformCorrelationSpec(
+                    rho=rho,
+                    n_samples=200,
+                    coefficients=coefficients,
+                    noise_sd=float(np.linalg.norm(coefficients)),
+                    seed=derive_seed(99, r, c),
+                )
+                cell, direct = grid.cells[c][r], run_cell(documented)
+                assert cell.spec == documented
+                assert cell.status == direct.status == "completed"
+                assert cell.sigma_unique == direct.sigma_unique
+                assert cell.baseline_r2 == direct.baseline_r2
 
     def test_feature_count_from_config_width(self):
         grid = run_grid(
