@@ -5,6 +5,7 @@ predictor against a per-stump sum."""
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import astuple
 from unittest import mock
 
@@ -282,6 +283,17 @@ _REPEATED = StumpEnsemble(
 )
 
 
+def _wide_table_model(n_thresholds):
+    """An ensemble whose feature 0 has ``n_thresholds`` distinct thresholds,
+    0.0 among them, and whose feature 1 has 13."""
+    rng = np.random.default_rng(n_thresholds)
+    grid = np.linspace(-2.0, 2.0, n_thresholds) if n_thresholds > 1 else np.zeros(1)
+    thresholds = np.where(np.abs(grid) == np.abs(grid).min(), 0.0, grid)
+    stumps = [Stump(0, float(t), *rng.standard_normal(2).tolist()) for t in thresholds]
+    stumps += [Stump(1, float(t), *rng.standard_normal(2).tolist()) for t in rng.uniform(-2.0, 2.0, 13)]
+    return StumpEnsemble(0.25, tuple(stumps), 0.1, 2)
+
+
 class TestCompiledStumpPredictor:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(case=stump_cases(extra=st.sampled_from([math.nan, math.inf, -math.inf])))
@@ -311,6 +323,34 @@ class TestCompiledStumpPredictor:
             assert len(steps) == len(thresholds) + 1
         expected = repeated_table_predict(model, x)
         assert np.array_equal(model.predict_batch(x).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n_thresholds", [1, 254, 255, 256, 600])
+    @pytest.mark.parametrize("n_rows", [0, 1, 8191, 8192, 8193])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_counting_matches_searchsorted_at_its_edges(self, n_thresholds, n_rows, layout):
+        # tables on both sides of the uint8 cutoff, batches on both sides of a
+        # block, and cells on a threshold, between them, NaN, +-inf and +-0.0
+        model = _wide_table_model(n_thresholds)
+        rng = np.random.default_rng(n_thresholds + n_rows)
+        thresholds = np.array([s.threshold for s in model.stumps if s.feature_index == 0])
+        cells = np.concatenate((thresholds, [math.nan, math.inf, -math.inf, 0.0, -0.0]))
+        pool = np.concatenate((cells, rng.uniform(-3.0, 3.0, cells.size)))
+        whole = rng.choice(pool, (2 * n_rows, 2))
+        x = {"C": np.ascontiguousarray(whole[::2]), "F": np.asfortranarray(whole[::2]), "strided": whole[::2]}[layout]
+        expected = repeated_table_predict(model, x)
+        assert np.array_equal(model.predict_batch(x).view(np.uint64), expected.view(np.uint64))
+
+    def test_scratch_is_bounded_by_a_block(self):
+        # 2 MiB of comparisons and counts, and room for a strided column's copy
+        model = _wide_table_model(models.UINT8_MAX_THRESHOLDS)
+        x = np.asfortranarray(np.random.default_rng(0).uniform(-3.0, 3.0, (1_000_000, 2)))
+        tracemalloc.start()
+        try:
+            out = model.predict_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= models._BLOCK_ROWS * (models.UINT8_MAX_THRESHOLDS + 1 + 8)
 
     def test_tables_are_not_fields(self):
         twin = StumpEnsemble(1.5, _REPEATED.stumps, 0.3, 3)
@@ -512,6 +552,17 @@ class TestRowIndependence:
         assert model.predict_batch(rows[start:stop]).tobytes() == whole[start:stop].tobytes()
         for row, value in zip(rows, whole):
             assert np.float64(model.predict(row)).tobytes() == value.tobytes()
+
+    def test_row_predicts_alike_in_every_block(self):
+        # a row near a block's edge falls in another block once the batch
+        # starts later; feature 0's 300 thresholds binary-search, feature 1's 13 count
+        model = _wide_table_model(300)
+        rows = np.random.default_rng(1).uniform(-3.0, 3.0, (2 * models._BLOCK_ROWS + 3, 2))
+        whole = model.predict_batch(rows)
+        for start in (1, models._BLOCK_ROWS - 1, models._BLOCK_ROWS + 1):
+            assert model.predict_batch(rows[start:]).tobytes() == whole[start:].tobytes()
+        for i in (0, models._BLOCK_ROWS - 1, models._BLOCK_ROWS, 2 * models._BLOCK_ROWS):
+            assert np.float64(model.predict(rows[i])).tobytes() == whole[i].tobytes()
 
 
 _INTEGER_TYPES = (int, np.int32, np.int64)
