@@ -230,6 +230,20 @@ class TestStumpEnsemble:
         assert len(model.stumps) == 5
         assert all(s.feature_index == 1 for s in model.stumps)
 
+    def test_fit_peak_memory_per_cell(self):
+        # tracemalloc peak per cell of x: 98 bytes while the split candidates
+        # held n_right and an 8-byte feature per split, 74 bytes without them
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((20_000, 8))
+        ds = Dataset(x=x, y=x.sum(axis=1) + rng.standard_normal(20_000))
+        tracemalloc.start()
+        try:
+            fit_stump_ensemble(ds, 5, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * x.size
+
     def test_validation(self):
         ds, _ = make_regression(seed=10)
         with pytest.raises(InvalidValue):
@@ -287,8 +301,8 @@ def _wide_table_model(n_thresholds):
     """An ensemble whose feature 0 has ``n_thresholds`` distinct thresholds,
     0.0 among them, and whose feature 1 has 13."""
     rng = np.random.default_rng(n_thresholds)
-    grid = np.linspace(-2.0, 2.0, n_thresholds) if n_thresholds > 1 else np.zeros(1)
-    thresholds = np.where(np.abs(grid) == np.abs(grid).min(), 0.0, grid)
+    thresholds = np.linspace(-2.0, 2.0, n_thresholds)
+    thresholds[np.argmin(np.abs(thresholds))] = 0.0
     stumps = [Stump(0, float(t), *rng.standard_normal(2).tolist()) for t in thresholds]
     stumps += [Stump(1, float(t), *rng.standard_normal(2).tolist()) for t in rng.uniform(-2.0, 2.0, 13)]
     return StumpEnsemble(0.25, tuple(stumps), 0.1, 2)
@@ -331,8 +345,9 @@ class TestCompiledStumpPredictor:
         # tables on both sides of the uint8 cutoff, batches on both sides of a
         # block, and cells on a threshold, between them, NaN, +-inf and +-0.0
         model = _wide_table_model(n_thresholds)
+        thresholds = model._tables[0][1]
+        assert thresholds.size == n_thresholds
         rng = np.random.default_rng(n_thresholds + n_rows)
-        thresholds = np.array([s.threshold for s in model.stumps if s.feature_index == 0])
         cells = np.concatenate((thresholds, [math.nan, math.inf, -math.inf, 0.0, -0.0]))
         pool = np.concatenate((cells, rng.uniform(-3.0, 3.0, cells.size)))
         whole = rng.choice(pool, (2 * n_rows, 2))
@@ -350,7 +365,7 @@ class TestCompiledStumpPredictor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= models._BLOCK_ROWS * (models.UINT8_MAX_THRESHOLDS + 1 + 8)
+        assert peak - out.nbytes <= 2 * 2**20 + 64 * 2**10
 
     def test_tables_are_not_fields(self):
         twin = StumpEnsemble(1.5, _REPEATED.stumps, 0.3, 3)
