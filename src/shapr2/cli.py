@@ -54,7 +54,7 @@ from .metrics import ShapleyMatrix, decompose, outcome_variance
 from .models import TUNE_TOLERANCE, check_boosting_options, fit_ols, fit_stump_ensemble, tune_iterations
 from .models import model_document as _model_document
 from .report import VERSION, build_report, dumps
-from .shapley import BackgroundSet, SamplingConfig, exact_shapley, sampled_shapley
+from .shapley import BackgroundSet, SamplingConfig, check_exact_width, exact_shapley, sampled_shapley
 from .simulation import ESTIMATORS, GridSpec, run_grid
 
 #: Relative additivity gap beyond which an ingested phi0 triggers a warning.
@@ -75,34 +75,37 @@ def _cannot(verb: str, path: str, reason) -> ValidationError:
 # CSV ingestion
 
 
-def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            rows = list(reader)
+            rows, start = [], 1  # each record with the line it starts on: a quoted cell may span lines
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise _cannot("read", path, exc) from exc
     except csv.Error as exc:  # a field over the reader's length limit
         raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: file is empty")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in rows[0][1]]
     if len(set(header)) != len(header):
         raise ValidationError(f"{path}: duplicate column names in header")
     data = rows[1:]
-    for i, row in enumerate(data):
+    for line, row in data:
         if len(row) != len(header):
             raise ValidationError(
-                f"{path}, line {i + 2}: expected {len(header)} fields, got {len(row)}"
+                f"{path}, line {line}: expected {len(header)} fields, got {len(row)}"
             )
     if not data:
         raise ValidationError(f"{path}: no data rows")
     return header, data
 
 
-def _parse_column(name: str, idx: int, rows: list[list[str]], path: str) -> np.ndarray:
+def _parse_column(name: str, idx: int, rows: list[tuple[int, list[str]]], path: str) -> np.ndarray:
     out = np.empty(len(rows))
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         cell = row[idx].strip()
         try:
             if "_" in cell:  # no separators; Python float() would accept them
@@ -110,11 +113,11 @@ def _parse_column(name: str, idx: int, rows: list[list[str]], path: str) -> np.n
             value = float(cell)
         except ValueError:
             raise ValidationError(
-                f"{path}, line {i + 2}, column {name!r}: not a number: {cell!r}"
+                f"{path}, line {line}, column {name!r}: not a number: {cell!r}"
             ) from None
         if not np.isfinite(value):
             raise ValidationError(
-                f"{path}, line {i + 2}, column {name!r}: non-finite value {cell!r}"
+                f"{path}, line {line}, column {name!r}: non-finite value {cell!r}"
             )
         out[i] = value
     return out
@@ -366,18 +369,6 @@ def _fit_explain_model(args, dataset: Dataset):
     )
 
 
-def _explain_attributions(args, dataset: Dataset, model, config: SamplingConfig) -> ShapleyMatrix:
-    background = BackgroundSet(dataset.x)
-    if args.sampled:
-        return sampled_shapley(model, dataset, background, config)
-    try:
-        return exact_shapley(model, dataset, background.subsample(config.background_subsample, config.seed))
-    except FeatureCountExceeded as exc:
-        raise FeatureCountExceeded(
-            f"{exc} (hint: pass --sampled to use permutation sampling)"
-        ) from None
-
-
 def cmd_explain(args, outputs: list) -> None:
     # checked before any input is read, whichever engine and model run
     config = SamplingConfig(args.permutations, args.seed, args.background_subsample)
@@ -387,6 +378,15 @@ def cmd_explain(args, outputs: list) -> None:
     dataset = _load_explain_input(args.csv, args.target)
     if dataset.n_rows > 1:  # a single row is refused by the fit, with its own message
         outcome_variance(dataset.y)  # a constant outcome, before the fit and the engine
+    background = BackgroundSet(dataset.x)  # the engine's background and width rules, before the fit
+    if args.sampled:
+        background.subsample_size(config.background_subsample)
+    else:
+        background = background.subsample(config.background_subsample, config.seed)
+        try:
+            check_exact_width(dataset.n_features)
+        except FeatureCountExceeded as exc:
+            raise FeatureCountExceeded(f"{exc} (hint: pass --sampled to use permutation sampling)") from None
     try:
         model = _fit_explain_model(args, dataset)
     except SingularDesign as exc:
@@ -394,7 +394,8 @@ def cmd_explain(args, outputs: list) -> None:
             f"{exc} (hint: drop duplicated or linearly dependent feature columns)"
         ) from None
     yhat = model.predict_batch(dataset.x)
-    matrix = _explain_attributions(args, dataset, model, config)
+    matrix = (sampled_shapley(model, dataset, background, config) if args.sampled
+              else exact_shapley(model, dataset, background))
     result = decompose(dataset.y, yhat, matrix, eq7_as_printed=args.eq7_as_printed)
 
     options = {
@@ -531,8 +532,13 @@ def cmd_simulate(args, outputs: list) -> None:
 # Parser and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # out through main's one except, as one line; subparsers share the class
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapr2",
         description=(
             "Decompose a regression model's explained variance into "
@@ -578,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rhos", default=None, help="comma-separated correlation values (default -0.8..0.8 step 0.2)")
     p_sim.add_argument("--n-samples", type=int, default=None)
     p_sim.add_argument("--noise-sd", type=float, default=None)
-    p_sim.add_argument("--estimator", choices=ESTIMATORS, default=None)
+    p_sim.add_argument("--estimator", default=None, help=f"attribution estimator: {' or '.join(ESTIMATORS)}")
     p_sim.add_argument("--permutations", type=int, default=None)
     p_sim.add_argument("--background-subsample", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
@@ -597,12 +603,9 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):  # argparse reads "--phi0 -1e-05" as two options
         if argv[i] in _NUMBER_OPTIONS:
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {"decompose": cmd_decompose, "explain": cmd_explain, "simulate": cmd_simulate}
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
         _check_destinations(args)
@@ -610,6 +613,8 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):  # no inf or nan reaches an output
             handlers[args.command](args, outputs)
         _publish(outputs)
+        return 0
+    except SystemExit:  # --help, which printed the usage: argparse's one exit left
         return 0
     except Shapr2Error as exc:
         # the whole exit-code rule: input errors subclass ValueError and exit

@@ -45,6 +45,13 @@ def check_seed(seed: int) -> None:
         raise InvalidValue("seed must fit in an unsigned 64-bit integer")
 
 
+def check_exact_width(n_features: int) -> None:
+    """The exact engine's width rule: at most :data:`EXACT_FEATURE_CAP` features."""
+    if n_features > EXACT_FEATURE_CAP:
+        raise FeatureCountExceeded(f"{n_features} features exceeds the exact-enumeration cap of "
+                                   f"{EXACT_FEATURE_CAP}; use sampled_shapley instead")
+
+
 def derive_seed(master_seed: int, *path: int) -> int:
     """Stable 64-bit child seed from a master seed and integer coordinates."""
     ss = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
@@ -227,11 +234,7 @@ def exact_shapley(
     x = dataset.x
     background = _background(predictor, x, background)
     n_features = x.shape[1]
-    if n_features > EXACT_FEATURE_CAP:
-        raise FeatureCountExceeded(
-            f"{n_features} features exceeds the exact-enumeration cap of "
-            f"{EXACT_FEATURE_CAP}; use sampled_shapley instead"
-        )
+    check_exact_width(n_features)
 
     n_masks = 1 << n_features
     # row m holds the bits of mask m: feature f is in coalition m iff bit f is set

@@ -305,6 +305,27 @@ class TestExplain:
         assert (result.code, result.stdout, result.stderr) == (2, "", "error: outcome has zero variance\n")
         assert sorted(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("sampled", [(), ("--sampled",)], ids=["exact", "sampled"])
+    def test_subsample_over_rows_refused_before_the_fit(self, cli, explain_csv, tmp_path, sampled):
+        with mock.patch.object(cli_module, "_fit_explain_model", side_effect=AssertionError("fit")):
+            result = cli("explain", str(explain_csv), "--target", "outcome", *sampled,
+                         "--background-subsample", "81", "--out", str(tmp_path / "r.json"))
+        assert (result.code, result.stdout) == (2, "")
+        assert result.stderr == "error: background_subsample 81 exceeds background size 80\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_feature_cap_refused_before_the_fit(self, cli, tmp_path):
+        path = tmp_path / "wide.csv"
+        rng = np.random.default_rng(5)
+        write_csv(path, ["t"] + [f"c{i}" for i in range(17)], rng.standard_normal((24, 18)).tolist())
+        with mock.patch.object(cli_module, "_fit_explain_model", side_effect=AssertionError("fit")):
+            result = cli("explain", str(path), "--target", "t", "--model", "stumps",
+                         "--out", str(tmp_path / "r.json"))
+        assert (result.code, result.stdout) == (3, "")
+        assert result.stderr == ("error: 17 features exceeds the exact-enumeration cap of 16; use "
+                                 "sampled_shapley instead (hint: pass --sampled to use permutation sampling)\n")
+        assert sorted(tmp_path.iterdir()) == [path]
+
     def test_sampled_deterministic_across_runs_and_threads(self, cli, explain_csv):
         args = (
             "explain", str(explain_csv), "--target", "outcome",
@@ -563,6 +584,16 @@ class TestSimulate:
         assert [len(row) for row in rows] == [5, 5, 5]
         assert [row[1] for row in rows[1:]] == ["a,b", "a,b"]
 
+    def test_unknown_estimator_one_message_from_flag_and_config(self, cli, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"estimator": "bogus"}), encoding="utf-8")
+        common = ("simulate", "--rhos", "0", "--n-samples", "10", "--out", str(tmp_path / "g.csv"))
+        from_flag = cli(*common, "--estimator", "bogus")
+        from_config = cli(*common, "--config", str(config))
+        for result in (from_flag, from_config):
+            assert (result.code, result.stdout, result.stderr) == (2, "", "error: unknown estimator 'bogus'\n")
+        assert not (tmp_path / "g.csv").exists()
+
     def test_unknown_config_key(self, cli, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"rho": [0.0]}), encoding="utf-8")
@@ -612,6 +643,34 @@ class TestParserContract:
     def test_unknown_command(self, cli):
         result = cli("frobnicate")
         assert result.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("explain", "{csv}", "--out", "{dir}/r.json"),
+         ("explain", "{csv}", "--target", "outcome", "--model", "bogus", "--out", "{dir}/r.json"),
+         ("simulate", "--estimator", "bogus", "--rhos", "0", "--n-samples", "10", "--out", "{dir}/g.csv"),
+         ("explain", "{csv}", "--target", "outcome", "--iterations", "abc", "--out", "{dir}/r.json"),
+         ("frobnicate", "--out", "{dir}/r.json"),
+         ()],
+        ids=["missing-target", "unknown-model", "unknown-estimator", "non-integer-iterations",
+             "unknown-command", "no-arguments"],
+    )
+    def test_argument_errors_are_one_error_line(self, cli, explain_csv, tmp_path, argv):
+        (out := tmp_path / "out").mkdir()
+        result = cli(*[arg.format(csv=explain_csv, dir=out) for arg in argv])
+        assert (result.code, result.stdout) == (2, "")
+        _assert_input_error(result)
+        assert list(out.iterdir()) == []
+
+    def test_missing_option_names_it(self, cli, explain_csv):
+        result = cli("explain", str(explain_csv))
+        assert (result.code, result.stdout, result.stderr) == (
+            2, "", "error: the following arguments are required: --target\n")
+
+    def test_help_exits_zero_with_usage_on_stdout(self, cli):
+        result = cli("explain", "--help")
+        assert (result.code, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: ") and "--target" in result.stdout
 
     def test_threads_validation(self, cli, explain_csv):
         result = cli("explain", str(explain_csv), "--target", "outcome",
@@ -967,6 +1026,20 @@ class TestErrorPaths:
         result = cli("decompose", str(path))
         _assert_input_error(result)
         assert result.stderr.startswith(f"error: {path}, line 4: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('y,yhat,"phi_a\nz"\n1,1.5,-1\n2,2.5,x\n4,3,1\n', "line 4, column 'phi_a\\nz': not a number: 'x'"),
+         ('y,yhat,phi_a\n1,"1.5\n",-1\n2,2.5,x\n4,3,1\n', "line 4, column 'phi_a': not a number: 'x'"),
+         ('y,yhat,"phi_a\nz"\n1,1.5\n2,2.5,1\n', "line 3: expected 3 fields, got 2")],
+        ids=["cell-after-two-line-header", "cell-after-two-line-record", "short-row-after-two-line-header"],
+    )
+    def test_scan_errors_name_the_line_a_record_starts_on(self, cli, tmp_path, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        result = cli("decompose", str(path))
+        _assert_input_error(result)
+        assert result.stderr == f"error: {path}, {message}\n"
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_exact_background_subsample_below_one(self, cli, explain_csv, value):
@@ -1475,11 +1548,11 @@ def _explain_runs(draw):
     width = len(header) + draw(_mostly([0], [-1, 1]))
     rows.append(draw(st.lists(cells, min_size=width, max_size=width)))
     text = "".join(",".join(row) + "\n" for row in [header, *rows])
-    model = draw(st.sampled_from(["ols", "stumps"]))
+    model = draw(_mostly(["ols", "stumps"], ["bogus"]))
     groups = [
         ["--target", draw(_mostly(["t"], ["a", "z"]))],
         ["--model", model],
-        draw(_flag("--iterations", _mostly([1, 5, 20], [0, -1]))),
+        draw(_flag("--iterations", _mostly([1, 5, 20], [0, -1, 2.5]))),
         draw(_flag("--learning-rate", _mostly(["0.1", "0.5", "1"], ["0", "1.5", "nan"]))),
         # a target fit is only for stumps
         draw(_flag("--target-r2", _mostly(["0.3", "0.8"], ["0", "1", "nan"]) if model == "stumps"
@@ -1537,7 +1610,7 @@ def _simulate_runs(draw):
             config[key] = value
     groups += [
         draw(_flag("--noise-sd", _mostly(["0", "1"], ["-1", "nan", "inf"]))),
-        draw(_flag("--estimator", st.sampled_from(["linear", "sampled"]))),
+        draw(_flag("--estimator", _mostly(["linear", "sampled"], ["bogus", "exact"]))),
         draw(_flag("--background-subsample", _mostly([1, 4], [0, -1, 41]))),
         draw(_flag("--seed", _mostly([0, 5], [2**64, -1]))),
         draw(_flag("--threads", _mostly([1, 2], [0, -1]))),
